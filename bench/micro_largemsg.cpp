@@ -94,6 +94,7 @@ const char* schedule_name(Schedule s) {
     case Schedule::kRabenseifner: return "rabenseifner";
     case Schedule::kRing: return "ring";
     case Schedule::kPipelined: return "pipelined";
+    case Schedule::kHierarchical: return "hierarchical";
     case Schedule::kAuto: break;
   }
   return "auto";

@@ -134,10 +134,11 @@ PersistentPlan plan_state_xscan(mprt::Comm& comm, const Op& prototype) {
 
 /// One warm epoch of a planned allreduce: leases the plan's tag block
 /// (recycling the same tags every epoch — safe because an epoch's
-/// messages are consumed within the epoch, and chaos duplicates die
-/// against the mailbox sequence watermark) and executes the frozen
-/// schedule through the same code path as the one-shot dispatch.  No env
-/// reads, no cost-model argmins, no allocations once the pool is warm.
+/// messages are consumed within the epoch, and a chaos duplicate dies in
+/// the mailbox, whose channel has already delivered its sequence number)
+/// and executes the frozen schedule through the same code path as the
+/// one-shot dispatch.  No env reads, no cost-model argmins, no allocations
+/// once the pool is warm.
 template <rs::Combinable Op>
 void execute_planned_allreduce(mprt::Comm& comm, Op& op, const Op& prototype,
                                PersistentPlan& plan) {

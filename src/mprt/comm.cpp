@@ -77,7 +77,7 @@ void Comm::chaos_pre_send() {
 }
 
 void Comm::deliver(int dest, Message&& msg) {
-  msg.seq = state_->next_seq++;
+  msg.seq = ++state_->sent_seqs[{context_, dest}];
   Mailbox& box = runtime_.mailbox(group_[static_cast<std::size_t>(dest)]);
   ChaosController* chaos = runtime_.chaos();
   if (chaos == nullptr) {

@@ -17,6 +17,7 @@
 #include <span>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -61,10 +62,10 @@ struct RecvDeadline {
 /// Owned by the runtime; only touched from the rank's own thread.
 struct RankState {
   VirtualClock clock;
-  /// Next send sequence number; stamped on every outgoing message.  One
-  /// counter per rank is enough for per-stream monotonicity because a
-  /// rank's sends are sequential.
-  std::uint64_t next_seq = 1;
+  /// Last sequence number sent on each (context, destination) channel; the
+  /// next send on the channel stamps one more.  Dense per-channel numbers
+  /// let the receiving mailbox keep what it delivered as a few ranges.
+  std::unordered_map<Channel, std::uint64_t, ChannelHash> sent_seqs;
   std::optional<RecvDeadline> recv_deadline;
   std::uint64_t recv_retry_count = 0;  ///< deadline slices that expired
   std::uint64_t sent_count = 0;
@@ -352,7 +353,8 @@ class Comm {
   /// marching through — and eventually wrapping — it.  Re-using the same
   /// tags across epochs is safe because each epoch's messages are fully
   /// consumed before the next epoch starts, and stale chaos-duplicates are
-  /// discarded by the mailbox's per-stream sequence watermark.
+  /// discarded by the mailbox: their sequence number is already among the
+  /// numbers their channel delivered.
   struct TagBlock {
     int first_tag = 0;
     int count = 0;

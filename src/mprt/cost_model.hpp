@@ -464,7 +464,8 @@ inline double thread_cpu_seconds() {
 
 /// RAII guard that measures a local compute section with the per-thread CPU
 /// clock and charges it (scaled by CostModel::compute_scale) to a rank's
-/// virtual clock.
+/// virtual clock.  At compute_scale == 0 the section is free and no clock
+/// is read: the per-thread CPU clock is a syscall, not a vDSO read.
 ///
 ///   {
 ///     ComputeTimer t(comm.clock(), comm.cost_model());
@@ -474,7 +475,8 @@ class ComputeTimer {
  public:
   ComputeTimer(VirtualClock& clock, const CostModel& model)
       : clock_(clock), scale_(model.compute_scale),
-        start_(thread_cpu_seconds()) {}
+        start_(scale_ == 0.0 ? 0.0 : thread_cpu_seconds()),
+        stopped_(scale_ == 0.0) {}
 
   ComputeTimer(const ComputeTimer&) = delete;
   ComputeTimer& operator=(const ComputeTimer&) = delete;
@@ -493,7 +495,7 @@ class ComputeTimer {
   VirtualClock& clock_;
   double scale_;
   double start_;
-  bool stopped_ = false;
+  bool stopped_;
 };
 
 }  // namespace rsmpi::mprt

@@ -1,6 +1,8 @@
 #include "mprt/mailbox.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,7 +28,43 @@ bool precedes(const Message& a, std::size_t ia, const Message& b,
   return ia < ib;
 }
 
+/// lower_bound comparator over DeliveredSeqs ranges: finds the first range
+/// ending at or after a sequence number.
+constexpr auto kEndsBefore = [](const auto& range, std::uint64_t seq) {
+  return range.last < seq;
+};
+
 }  // namespace
+
+bool Mailbox::DeliveredSeqs::contains(std::uint64_t seq) const {
+  const auto it =
+      std::lower_bound(ranges_.begin(), ranges_.end(), seq, kEndsBefore);
+  return it != ranges_.end() && it->first <= seq;
+}
+
+void Mailbox::DeliveredSeqs::insert(std::uint64_t seq) {
+  // The common case: the channel's next number in send order.
+  if (!ranges_.empty() && ranges_.back().last + 1 == seq) {
+    ranges_.back().last = seq;
+    return;
+  }
+  const auto next =
+      std::lower_bound(ranges_.begin(), ranges_.end(), seq, kEndsBefore);
+  if (next != ranges_.end() && next->first <= seq) return;  // already held
+  const bool joins_next = next != ranges_.end() && next->first == seq + 1;
+  const bool joins_prev =
+      next != ranges_.begin() && std::prev(next)->last + 1 == seq;
+  if (joins_prev && joins_next) {
+    std::prev(next)->last = next->last;  // seq filled the hole between them
+    ranges_.erase(next);
+  } else if (joins_prev) {
+    std::prev(next)->last = seq;
+  } else if (joins_next) {
+    next->first = seq;
+  } else {
+    ranges_.insert(next, Range{seq, seq});
+  }
+}
 
 void Mailbox::put(Message msg, bool front) {
   {
@@ -59,8 +97,8 @@ std::size_t Mailbox::select_locked(std::int64_t context, int source, int tag,
     // sight — at-most-once delivery — and the scan restarts because the
     // erase shifted indices.
     if (m.seq != 0) {
-      const auto it = delivered_.find({m.context, m.source, m.tag});
-      if (it != delivered_.end() && m.seq <= it->second) {
+      const auto it = delivered_.find({m.context, m.source});
+      if (it != delivered_.end() && it->second.contains(m.seq)) {
         queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
         ++duplicates_suppressed_;
         i = npos;     // restart (loop increment wraps npos to 0)
@@ -99,10 +137,7 @@ std::size_t Mailbox::select_locked(std::int64_t context, int source, int tag,
 Message Mailbox::remove_locked(std::size_t idx) {
   Message msg = std::move(queue_[idx]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
-  if (msg.seq != 0) {
-    std::uint64_t& mark = delivered_[{msg.context, msg.source, msg.tag}];
-    if (msg.seq > mark) mark = msg.seq;
-  }
+  if (msg.seq != 0) delivered_[{msg.context, msg.source}].insert(msg.seq);
   return msg;
 }
 
@@ -281,6 +316,13 @@ std::size_t Mailbox::pending() const {
 std::uint64_t Mailbox::duplicates_suppressed() const {
   std::lock_guard lock(mutex_);
   return duplicates_suppressed_;
+}
+
+std::size_t Mailbox::delivered_ranges() const {
+  std::lock_guard lock(mutex_);
+  std::size_t n = 0;
+  for (const auto& [channel, seqs] : delivered_) n += seqs.ranges();
+  return n;
 }
 
 void Mailbox::abort() {

@@ -122,7 +122,7 @@ class RankWaiter {
 /// receive path — blocking take, try_take, and the due-only try_take_due
 /// the async progress engine polls with — agree on one delivery order and
 /// deliver each sequence number at most once (duplicates are counted and
-/// discarded against a per-stream watermark).
+/// discarded against the numbers their channel has already delivered).
 class Mailbox {
  public:
   Mailbox() = default;
@@ -169,6 +169,10 @@ class Mailbox {
 
   /// Duplicate deliveries discarded by sequence-number suppression.
   [[nodiscard]] std::uint64_t duplicates_suppressed() const;
+
+  /// Delivered-sequence ranges held for duplicate suppression, summed over
+  /// channels; primarily for tests.
+  [[nodiscard]] std::size_t delivered_ranges() const;
 
   /// Puts the mailbox into the aborted state: all current and future
   /// blocking takes throw AbortError.  Used for fail-fast teardown when a
@@ -242,21 +246,22 @@ class Mailbox {
   void set_rank_waiter(RankWaiter* waiter) { waiter_ = waiter; }
 
  private:
-  /// Sender-stream identity; the unit of ordering and deduplication.
-  struct StreamKey {
-    std::int64_t context;
-    int source;
-    int tag;
-    bool operator==(const StreamKey&) const = default;
-  };
-  struct StreamKeyHash {
-    std::size_t operator()(const StreamKey& k) const {
-      std::uint64_t h = static_cast<std::uint64_t>(k.context) * 0x9E3779B97F4A7C15ULL;
-      h ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.source)) << 32) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.tag));
-      h *= 0xC2B2AE3D27D4EB4FULL;
-      return static_cast<std::size_t>(h ^ (h >> 29));
-    }
+  /// The sequence numbers one channel has delivered, as sorted, disjoint,
+  /// non-adjacent closed ranges.  A channel is numbered densely from 1 and
+  /// each of its messages is eventually received, dropped or left queued,
+  /// so the set settles at one range plus one per number never delivered.
+  class DeliveredSeqs {
+   public:
+    [[nodiscard]] bool contains(std::uint64_t seq) const;
+    void insert(std::uint64_t seq);
+    [[nodiscard]] std::size_t ranges() const { return ranges_.size(); }
+
+   private:
+    struct Range {
+      std::uint64_t first;
+      std::uint64_t last;
+    };
+    std::vector<Range> ranges_;
   };
 
   /// Index of the oldest eligible message matching the pattern, after
@@ -267,8 +272,8 @@ class Mailbox {
                                           int tag,
                                           const double* arrival_cutoff);
 
-  /// Removes index `idx` from the queue, advancing its stream's delivered
-  /// watermark.  Caller holds the lock.
+  /// Removes index `idx` from the queue, recording its sequence number as
+  /// delivered on its channel.  Caller holds the lock.
   Message remove_locked(std::size_t idx);
 
   /// Throws if the mailbox is aborted (always) or an in-scope peer is lost
@@ -303,7 +308,7 @@ class Mailbox {
   RankWaiter* waiter_ = nullptr;  // virtualized-owner park/resume endpoint
   bool deterministic_wildcard_ = false;
   std::uint64_t events_ = 0;  // bumped on every put/abort/loss, for idle_wait
-  std::unordered_map<StreamKey, std::uint64_t, StreamKeyHash> delivered_;
+  std::unordered_map<Channel, DeliveredSeqs, ChannelHash> delivered_;
   std::uint64_t duplicates_suppressed_ = 0;
   bool aborted_ = false;
   std::vector<int> lost_peers_;  // global ranks that exited

@@ -15,6 +15,25 @@ namespace rsmpi::mprt {
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 
+/// One direction of traffic on one communicator context, named from one
+/// end: `peer` is the destination rank at the sender and the source rank at
+/// the receiver (both ranks within the context's group).  Messages are
+/// numbered, and duplicates suppressed, per channel.
+struct Channel {
+  std::int64_t context = 0;
+  int peer = 0;
+  bool operator==(const Channel&) const = default;
+};
+
+struct ChannelHash {
+  std::size_t operator()(const Channel& c) const {
+    std::uint64_t h = static_cast<std::uint64_t>(c.context) * 0x9E3779B97F4A7C15ULL;
+    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.peer));
+    h *= 0xC2B2AE3D27D4EB4FULL;
+    return static_cast<std::size_t>(h ^ (h >> 29));
+  }
+};
+
 /// One message in flight between two ranks.
 ///
 /// `context` identifies the communicator the message was sent on (MPI's
@@ -41,12 +60,13 @@ class Message {
   int source = 0;
   int tag = 0;
   double arrival_vtime_s = 0.0;
-  /// Per-sender sequence number (strictly increasing along every
-  /// (context, source, tag) stream because a rank's sends are sequential).
-  /// The mailbox orders same-stream receives by it and suppresses
-  /// duplicates against a per-stream watermark, so physically reordered or
-  /// duplicated deliveries — injected by a fault plan, or arising from the
-  /// async engine's replay — are invisible above the mailbox.  0 means
+  /// Per-channel sequence number: a sender numbers its messages to each
+  /// Channel 1, 2, 3, ... in send order, so the number is also strictly
+  /// increasing along every (context, source, tag) stream.  The mailbox
+  /// orders same-stream receives by it and delivers each number of a
+  /// channel at most once, so physically reordered or duplicated
+  /// deliveries — injected by a fault plan, or arising from the async
+  /// engine's replay — are invisible above the mailbox.  0 means
   /// "unsequenced" (messages built directly in tests): those keep the
   /// legacy queue-position order and bypass duplicate suppression.
   std::uint64_t seq = 0;

@@ -4,8 +4,8 @@
 // Execution model.  Each virtual rank is a Fiber (mprt/fiber.hpp) that a
 // worker resumes off a shared FIFO ready queue.  A rank runs until its
 // blocking mailbox wait finds nothing deliverable, at which point the
-// mailbox's RankWaiter hook parks the fiber: the worker gets it back via
-// swapcontext and picks up the next ready rank.  A sender's Mailbox::put
+// mailbox's RankWaiter hook parks the fiber: it switches back to its
+// worker (Fiber::suspend), which picks up the next ready rank.  A sender's Mailbox::put
 // wakes the parked receiver through the same hook, requeueing its fiber —
 // possibly onto a different worker; fibers migrate freely.
 //

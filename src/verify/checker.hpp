@@ -99,6 +99,8 @@ inline std::string schedule_name(rs::detail::Schedule schedule) {
       return "ring";
     case S::kPipelined:
       return "pipelined";
+    case S::kHierarchical:
+      return "hierarchical";
   }
   return "unknown";
 }

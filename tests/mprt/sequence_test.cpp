@@ -5,9 +5,11 @@
 // delivered at most once.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mprt/mailbox.hpp"
@@ -95,6 +97,126 @@ TEST(Sequence, StreamsAreIndependent) {
   EXPECT_EQ(mb.take(kWorld, 1, 1).seq, 1u);
   EXPECT_EQ(mb.take(kWorld, 0, 2).seq, 1u);
   EXPECT_EQ(mb.duplicates_suppressed(), 0u);
+}
+
+// Suppression is tag-free: numbers are per (context, source) channel and
+// the delivered ones merge into ranges.  Taking the channel's messages in
+// the order 1, 3, 5, 2, 4 (one fresh tag each) exercises every merge, and
+// a late duplicate whose number lies inside the merged range is dropped.
+TEST(Sequence, LateDuplicateInsideMergedRangeIsSuppressed) {
+  Mailbox mb;
+  for (std::uint64_t s = 1; s <= 5; ++s) {
+    mb.put(make_msg(0, /*tag=*/static_cast<int>(s), s));
+  }
+  for (const int tag : {1, 3, 5, 2, 4}) {
+    const auto got = mb.try_take(kWorld, 0, tag);
+    ASSERT_TRUE(got.has_value()) << "tag " << tag;
+    EXPECT_EQ(got->seq, static_cast<std::uint64_t>(tag));
+  }
+  EXPECT_EQ(mb.delivered_ranges(), 1u);
+
+  mb.put(make_msg(0, 3, 3));  // late duplicate of seq 3
+  EXPECT_FALSE(mb.probe(kWorld, 0, kAnyTag));
+  EXPECT_EQ(mb.duplicates_suppressed(), 1u);
+  EXPECT_EQ(mb.pending(), 0u);
+  EXPECT_EQ(mb.delivered_ranges(), 1u);
+}
+
+// A number that is never delivered (a fault plan dropped it) leaves a hole:
+// it costs exactly one extra range, and late duplicates on either side of
+// it stay suppressed.
+TEST(Sequence, HoleCostsOneRangeAndKeepsDuplicatesSuppressed) {
+  Mailbox mb;
+  for (const std::uint64_t s : {1, 2, 4, 5}) mb.put(make_msg(0, 1, s));
+  for (const std::uint64_t s : {1, 2, 4, 5}) {
+    EXPECT_EQ(mb.take(kWorld, 0, 1).seq, s);
+  }
+  EXPECT_EQ(mb.delivered_ranges(), 2u);  // [1, 2] and [4, 5]
+
+  mb.put(make_msg(0, 1, 2));
+  mb.put(make_msg(0, 1, 4));
+  mb.put(make_msg(0, 1, 5));
+  EXPECT_FALSE(mb.try_take(kWorld, 0, kAnyTag).has_value());
+  EXPECT_EQ(mb.duplicates_suppressed(), 3u);
+  EXPECT_EQ(mb.pending(), 0u);
+  EXPECT_EQ(mb.delivered_ranges(), 2u);
+}
+
+// The one-shot-collective pattern: every message carries a fresh tag.  The
+// suppression state must stay O(channels), not O(messages): 100,000
+// messages over 3 channels, each batch received newest first so ranges
+// split and merge again, end at one range per channel.
+TEST(Sequence, FreshTagsKeepOneRangePerChannel) {
+  constexpr int kChannels = 3;
+  constexpr int kMessages = 100000;
+  constexpr int kBatch = 24;
+  Mailbox mb;
+  std::array<std::uint64_t, kChannels> last_seq{};
+  std::vector<std::pair<int, int>> batch;  // (source, tag), in send order
+  int tag = 0;
+  for (int sent = 0; sent < kMessages;) {
+    batch.clear();
+    for (int i = 0; i < kBatch && sent < kMessages; ++i, ++sent, ++tag) {
+      const int source = i % kChannels;
+      mb.put(make_msg(source, tag, ++last_seq[source]));
+      batch.emplace_back(source, tag);
+    }
+    for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
+      ASSERT_TRUE(mb.try_take(kWorld, it->first, it->second).has_value())
+          << "tag " << it->second;
+    }
+  }
+  EXPECT_EQ(mb.pending(), 0u);
+  EXPECT_EQ(mb.duplicates_suppressed(), 0u);
+  EXPECT_EQ(mb.delivered_ranges(), static_cast<std::size_t>(kChannels));
+}
+
+// Through Comm with every message duplicated: a receiver that takes tag B
+// before tag A from the same sender (B numbered after A on their shared
+// channel) gets each message exactly once.  Run on fibers so that a wrongly
+// suppressed A surfaces as DeadlockError instead of a hang.
+TEST(Sequence, OutOfTagOrderReceiveUnderDuplicatesDeliversEachOnce) {
+  SimConfig sim;
+  sim.seed = 13;
+  sim.duplicate_prob = 1.0;
+  sim.reorder_prob = 0.5;
+  constexpr int kRounds = 8;
+  constexpr int kDoneTag = 100;
+  std::vector<int> got;
+  int leftovers = 0;
+  std::uint64_t suppressed = 0;
+  mprt::run(
+      2,
+      [&](Comm& comm) {
+        if (comm.rank() == 0) {
+          for (int i = 0; i < kRounds; ++i) {
+            comm.send(1, /*tag=*/2 * i, 2 * i);          // A
+            comm.send(1, /*tag=*/2 * i + 1, 2 * i + 1);  // B
+          }
+          comm.send(1, kDoneTag, 0);
+          return;
+        }
+        for (int i = 0; i < kRounds; ++i) {
+          got.push_back(comm.recv<int>(0, 2 * i + 1));
+          got.push_back(comm.recv<int>(0, 2 * i));
+        }
+        // Every copy of every A and B was enqueued before the done marker.
+        (void)comm.recv<int>(0, kDoneTag);
+        for (int t = 0; t < 2 * kRounds; ++t) {
+          leftovers += comm.try_recv_message(0, t).has_value() ? 1 : 0;
+        }
+        suppressed = comm.duplicates_suppressed();
+      },
+      mprt::CostModel{}, sim, mprt::ExecPolicy{/*workers=*/2, 0});
+
+  std::vector<int> want;
+  for (int i = 0; i < kRounds; ++i) {
+    want.push_back(2 * i + 1);
+    want.push_back(2 * i);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(leftovers, 0);
+  EXPECT_EQ(suppressed, static_cast<std::uint64_t>(2 * kRounds));
 }
 
 TEST(Sequence, TryTakeDueHonorsSeqOrderAcrossArrivalTimes) {

@@ -121,11 +121,13 @@ TEST(RecvCounters, TryRecvCountsOnlyOnSuccess) {
     if (comm.rank() == 0) {
       EXPECT_FALSE(comm.try_recv<int>(1, 3).has_value());
       EXPECT_EQ(comm.messages_received(), 0u);
+      comm.send(1, 4, 0);  // only now may rank 1 send
       std::optional<int> got;
       while (!got.has_value()) got = comm.try_recv<int>(1, 3);
       EXPECT_EQ(comm.messages_received(), 1u);
       EXPECT_EQ(comm.bytes_received(), sizeof(int));
     } else {
+      (void)comm.recv_message(0, 4);
       comm.send(0, 3, 9);
     }
   });

@@ -1,5 +1,5 @@
 // Rank virtualization (ISSUE 10): many virtual ranks multiplexed onto a
-// small OS-thread worker pool via ucontext fibers.
+// small OS-thread worker pool via fibers.
 //
 // The headline acceptance test runs a p=4096 zoo allreduce on 8 workers —
 // three orders of magnitude more ranks than threads — and checks every
@@ -12,7 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cfenv>
 #include <cstdint>
+#include <vector>
 
 #include "mprt/runtime.hpp"
 #include "rs/state_exchange.hpp"
@@ -109,6 +112,62 @@ TEST(Virtualized, StructuralDeadlockDetected) {
           },
           mprt::CostModel{}, mprt::SimConfig{}, exec),
       rsmpi::DeadlockError);
+}
+
+// 1/3 rounds differently upward than to nearest; the volatile operands keep
+// the division at run time, under the calling fiber's MXCSR.
+double one_third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+// A fiber switch carries the fiber's floating-point control state: MXCSR
+// (SSE rounding, read back through one_third) and the x87 control word
+// (what fegetround reports).  Even ranks round upward and park, over and
+// over; the odd partner they wait on keeps rounding to nearest.  With one
+// worker the partner runs on the parked rank's own worker; with four,
+// ranks also resume on other workers.
+TEST(Virtualized, FiberSwitchKeepsRoundingModePerFiber) {
+  const double nearest = one_third();
+  std::fesetround(FE_UPWARD);
+  const double upward = one_third();
+  std::fesetround(FE_TONEAREST);
+  ASSERT_NE(nearest, upward);
+
+  for (const int workers : {1, 4}) {
+    constexpr int kRanks = 16;
+    constexpr int kRounds = 20;
+    std::atomic<int> wrong{0};
+    const auto check = [&](int mode, double third) {
+      if (std::fegetround() != mode) wrong.fetch_add(1);
+      if (third != (mode == FE_UPWARD ? upward : nearest)) wrong.fetch_add(1);
+    };
+    mprt::run(
+        kRanks,
+        [&](Comm& comm) {
+          const int partner = comm.rank() ^ 1;
+          if (comm.rank() % 2 == 0) {
+            std::fesetround(FE_UPWARD);
+            for (int i = 0; i < kRounds; ++i) {
+              comm.send(partner, /*tag=*/i, i);
+              (void)comm.recv<int>(partner, i);  // parks until the reply
+              check(FE_UPWARD, one_third());
+            }
+            std::fesetround(FE_TONEAREST);
+          } else {
+            for (int i = 0; i < kRounds; ++i) {
+              (void)comm.recv<int>(partner, i);
+              check(FE_TONEAREST, one_third());
+              comm.send(partner, i, i);
+            }
+          }
+        },
+        mprt::CostModel{}, mprt::SimConfig{},
+        mprt::ExecPolicy{workers, /*stack_bytes=*/0});
+    EXPECT_EQ(wrong.load(), 0) << workers << " workers";
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  }
 }
 
 // Receive deadlines under virtualization: the deadline slices must arm
