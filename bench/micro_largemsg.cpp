@@ -69,7 +69,7 @@ constexpr std::size_t kNumFixed = 5;  // rows before the autotuned one
 /// Modelled critical path (seconds) of one allreduce of `buckets` Counts
 /// state at `p` ranks, with RSMPI_SCHEDULE pinned to `env_name` (or
 /// cleared for the autotuned dispatch).  The env var changes only between
-/// runs, never while rank threads are live.
+/// runs, never while ranks are live.
 double measure(const char* env_name, int p, std::size_t buckets) {
   if (env_name != nullptr) {
     ::setenv("RSMPI_SCHEDULE", env_name, /*overwrite=*/1);

@@ -8,8 +8,12 @@
 // overlap.
 //
 // The compute is charged as explicit virtual-clock advances (and
-// compute_scale is zeroed), so the figure is a deterministic function of
-// the cost model — rerunning it cannot jitter.
+// compute_scale is zeroed), and the progress engine runs each operation on
+// its own timeline, joining its finish time to the rank clock only when
+// the rank observes the completion (coll/nb/progress.hpp).  The figure is
+// therefore a deterministic function of the cost model and the message
+// schedule — not of which messages a poll happened to find queued — and
+// reruns print byte-identical output.
 //
 //   $ ./micro_overlap
 #include <cmath>

@@ -64,7 +64,7 @@ class IReduceOp final : public Operation {
     }
   }
 
-  bool step(StepMode mode) override {
+  bool step() override {
     bool progressed = false;
     const int p = comm_.size();
     while (phase_ != Phase::kDone) {
@@ -82,7 +82,7 @@ class IReduceOp final : public Operation {
             comm_.send_span(partner, reduce_tag_,
                             std::span<const T>(values_));
           } else {
-            auto msg = nb_recv(comm_, partner, reduce_tag_, mode);
+            auto msg = comm_.try_recv_message(partner, reduce_tag_);
             if (!msg.has_value()) return progressed;
             if (msg->payload_size() != values_.size_bytes()) {
               throw ProtocolError(
@@ -108,7 +108,7 @@ class IReduceOp final : public Operation {
             phase_ = Phase::kDone;
             progressed = true;
           } else if (comm_.rank() == root_) {
-            auto msg = nb_recv(comm_, 0, second_tag_, mode);
+            auto msg = comm_.try_recv_message(0, second_tag_);
             if (!msg.has_value()) return progressed;
             if (msg->payload_size() != values_.size_bytes()) {
               throw ProtocolError(
@@ -133,7 +133,7 @@ class IReduceOp final : public Operation {
           const auto& s = bcast_steps_[next_];
           const int partner = (s.partner + tree_root_) % p;
           if (s.role == mprt::topology::BinomialStep::Role::kRecv) {
-            auto msg = nb_recv(comm_, partner, second_tag_, mode);
+            auto msg = comm_.try_recv_message(partner, second_tag_);
             if (!msg.has_value()) return progressed;
             if (msg->payload_size() != values_.size_bytes()) {
               throw ProtocolError(
@@ -209,7 +209,7 @@ class IAllreduceRabenseifnerOp final : public Operation {
     dist_ = pof2_ / 2;
   }
 
-  bool step(StepMode mode) override {
+  bool step() override {
     bool progressed = false;
     const int rank = comm_.rank();
     const std::size_t n = values_.size();
@@ -222,7 +222,7 @@ class IAllreduceRabenseifnerOp final : public Operation {
           continue;
         }
         case Phase::kFoldAwaitFinal: {
-          auto msg = nb_recv(comm_, rank - 1, tag_, mode);
+          auto msg = comm_.try_recv_message(rank - 1, tag_);
           if (!msg.has_value()) return progressed;
           copy_payload(*msg, values_);
           phase_ = Phase::kDone;
@@ -230,7 +230,7 @@ class IAllreduceRabenseifnerOp final : public Operation {
           continue;
         }
         case Phase::kFoldRecv: {  // even remainder rank: absorb neighbour
-          auto msg = nb_recv(comm_, rank + 1, tag_, mode);
+          auto msg = comm_.try_recv_message(rank + 1, tag_);
           if (!msg.has_value()) return progressed;
           std::vector<T> other = to_values(*msg, n);
           op_.combine(values_, std::span<const T>(other));
@@ -259,7 +259,7 @@ class IAllreduceRabenseifnerOp final : public Operation {
             sent_ = true;
             progressed = true;
           }
-          auto msg = nb_recv(comm_, real_rank(partner), tag_, mode);
+          auto msg = comm_.try_recv_message(real_rank(partner), tag_);
           if (!msg.has_value()) return progressed;
           const std::size_t k0 = coll::detail::chunk_start(n, pof2_, keep_lo);
           const std::size_t k1 = coll::detail::chunk_start(n, pof2_, keep_hi);
@@ -287,7 +287,7 @@ class IAllreduceRabenseifnerOp final : public Operation {
             sent_ = true;
             progressed = true;
           }
-          auto msg = nb_recv(comm_, real_rank(partner), tag_, mode);
+          auto msg = comm_.try_recv_message(real_rank(partner), tag_);
           if (!msg.has_value()) return progressed;
           const int block = 2 * dist_;
           const int base = (vrank_ / block) * block;

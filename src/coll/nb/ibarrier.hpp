@@ -24,7 +24,7 @@ class IBarrierOp final : public Operation {
         tag_(tag),
         rounds_(mprt::topology::num_rounds(comm.size())) {}
 
-  bool step(StepMode mode) override {
+  bool step() override {
     bool progressed = false;
     const int p = comm_.size();
     const int rank = comm_.rank();
@@ -35,8 +35,7 @@ class IBarrierOp final : public Operation {
         sent_ = true;
         progressed = true;
       }
-      const auto token =
-          detail::nb_recv(comm_, (rank - dist + p) % p, tag_, mode);
+      const auto token = comm_.try_recv_message((rank - dist + p) % p, tag_);
       if (!token.has_value()) return progressed;
       ++round_;
       sent_ = false;

@@ -29,14 +29,14 @@ class IBcastOp final : public Operation {
     steps_ = mprt::topology::binomial_bcast_schedule(vrank, p);
   }
 
-  bool step(StepMode mode) override {
+  bool step() override {
     bool progressed = false;
     const int p = comm_.size();
     while (next_ < steps_.size()) {
       const auto& s = steps_[next_];
       const int partner = (s.partner + root_) % p;
       if (s.role == mprt::topology::BinomialStep::Role::kRecv) {
-        auto msg = nb_recv(comm_, partner, tag_, mode);
+        auto msg = comm_.try_recv_message(partner, tag_);
         if (!msg.has_value()) return progressed;
         if (msg->payload_size() != buffer_.size()) {
           throw ProtocolError("ibcast: buffer extent differs across ranks");

@@ -42,7 +42,7 @@ class IStateRingAllreduceOp final : public Operation {
         tag_(tag),
         n_(state_->op.part_extent()) {}
 
-  bool step(StepMode mode) override {
+  bool step() override {
     bool progressed = false;
     const int p = comm_.size();
     const int rank = comm_.rank();
@@ -63,7 +63,7 @@ class IStateRingAllreduceOp final : public Operation {
             sent_ = true;
             progressed = true;
           }
-          auto msg = detail::nb_recv(comm_, prev, tag_, mode);
+          auto msg = comm_.try_recv_message(prev, tag_);
           if (!msg.has_value()) return progressed;
           const auto [lo, hi] = bounds(rank - s_ - 1);
           rs::detail::combine_part_received(comm_, state_->op, lo, hi,
@@ -84,7 +84,7 @@ class IStateRingAllreduceOp final : public Operation {
             sent_ = true;
             progressed = true;
           }
-          auto msg = detail::nb_recv(comm_, prev, tag_, mode);
+          auto msg = comm_.try_recv_message(prev, tag_);
           if (!msg.has_value()) return progressed;
           const auto [lo, hi] = bounds(rank - s_);
           rs::detail::load_part_received(comm_, state_->op, lo, hi,

@@ -1,41 +1,22 @@
 #include "coll/nb/progress.hpp"
 
 #include "mprt/scheduler.hpp"
+#include "util/error.hpp"
 
 namespace rsmpi::coll::nb {
 
 ProgressEngine& ProgressEngine::current() {
-  // A virtualized rank keeps its engine in its fiber slot: the worker's
-  // thread_local would interleave pending tables of every rank multiplexed
-  // onto it, and a fiber may migrate workers between launch and wait.
-  if (mprt::FiberSlot* slot = mprt::current_fiber_slot()) {
-    if (!slot->nb_engine) {
-      slot->nb_engine = std::make_shared<ProgressEngine>();
-    }
-    return *static_cast<ProgressEngine*>(slot->nb_engine.get());
+  // The engine lives in the rank's fiber slot: a worker hosts many ranks,
+  // and a fiber may migrate workers between launch and wait.
+  mprt::FiberSlot* slot = mprt::current_fiber_slot();
+  if (slot == nullptr) {
+    throw Error("coll::nb: no rank is active here (nonblocking operations "
+                "are only valid inside a run() body)");
   }
-  static thread_local ProgressEngine engine;
-  return engine;
-}
-
-Request ProgressEngine::launch(mprt::Comm& comm,
-                               std::unique_ptr<Operation> op, int first_tag,
-                               int tag_count) {
-  // Advance greedily (polled mode: no modelled waiting is charged at
-  // launch): initial sends are posted here, and operations that need no
-  // communication complete without entering the table.
-  while (!op->done() && op->step(StepMode::kPolled)) {
+  if (!slot->nb_engine) {
+    slot->nb_engine = std::make_shared<ProgressEngine>();
   }
-  if (op->done()) return Request{};
-
-  Slot slot;
-  slot.id = next_id_++;
-  slot.op = std::move(op);
-  slot.comm = &comm;
-  slot.pending_id = comm.register_pending_op(first_tag, tag_count);
-  slot.vtime = comm.clock().now();
-  slots_.push_back(std::move(slot));
-  return Request(this, slots_.back().id);
+  return *static_cast<ProgressEngine*>(slot->nb_engine.get());
 }
 
 namespace {
@@ -49,43 +30,60 @@ void set_clock(mprt::VirtualClock& clock, double t) {
 
 }  // namespace
 
-bool ProgressEngine::poll(StepMode mode) {
+bool ProgressEngine::advance(Slot& slot) {
+  // Swap the rank clock to the operation's last progress point so
+  // arrival-time merges, compute_section charges and outgoing send stamps
+  // land on the operation's timeline; swap back even if the step throws.
+  struct Swap {
+    mprt::VirtualClock& clock;
+    double& op_time;
+    double rank_time;
+    ~Swap() {
+      op_time = clock.now();
+      set_clock(clock, rank_time);
+    }
+  } swap{slot.comm->clock(), slot.vtime, slot.comm->clock().now()};
+  set_clock(swap.clock, slot.vtime);
+  return slot.op->step();
+}
+
+Request ProgressEngine::launch(mprt::Comm& comm,
+                               std::unique_ptr<Operation> op, int first_tag,
+                               int tag_count) {
+  Slot slot;
+  slot.op = std::move(op);
+  slot.comm = &comm;
+  slot.vtime = comm.clock().now();
+  // Advance greedily: initial sends are posted here.  A lost peer met now
+  // is left for the wait or test that observes the operation; the loss
+  // stays recorded, so that pass meets it again.
+  try {
+    while (!slot.op->done() && advance(slot)) {
+    }
+  } catch (const PeerLostError&) {
+  }
+  slot.id = next_id_++;
+  if (slot.op->done()) {
+    // Whether the pass got this far depends on which messages the other
+    // ranks had already sent, so even now the finish time waits for the
+    // rank to observe the completion; only the table entry is skipped.
+    finished_.push_back({slot.id, &comm, slot.vtime});
+    return Request(this, slot.id);
+  }
+  slot.pending_id = comm.register_pending_op(first_tag, tag_count);
+  slots_.push_back(std::move(slot));
+  return Request(this, slots_.back().id);
+}
+
+bool ProgressEngine::poll() {
   bool progressed = false;
   for (auto& slot : slots_) {
-    if (slot.op->done()) continue;
-    auto& clock = slot.comm->clock();
-    if (mode == StepMode::kPolled) {
-      // Advance at the rank's current virtual time — but never step an
-      // operation a blocking test already replayed past this point, or
-      // its timeline would run backwards.
-      if (clock.now() < slot.vtime) continue;
-      if (slot.op->step(mode)) {
-        progressed = true;
-        // Only a step that actually advanced moves the timeline: an empty
-        // poll proves nothing was physically queued, not that virtually
-        // earlier messages won't still need replaying at their arrival
-        // times during a later blocking wait.
-        slot.vtime = clock.now();
-      }
-    } else {
-      // Replay on the operation's own timeline: swap the rank clock to
-      // the operation's last progress point so arrival-time merges (and
-      // compute_section charges and outgoing send stamps) land where a
-      // promptly-polling rank would have put them.
-      const double rank_now = clock.now();
-      set_clock(clock, slot.vtime);
-      if (slot.op->step(mode)) progressed = true;
-      slot.vtime = clock.now();
-      set_clock(clock, rank_now);
-    }
+    if (!slot.op->done() && advance(slot)) progressed = true;
   }
-  std::erase_if(slots_, [](Slot& slot) {
+  std::erase_if(slots_, [this](Slot& slot) {
     if (!slot.op->done()) return false;
-    // Completion rejoins the rank's timeline: the rank observes the
-    // operation finished no earlier than its modelled finish time.  After
-    // a polled step vtime equals the rank clock and this is a no-op.
-    slot.comm->clock().merge(slot.vtime);
     slot.comm->complete_pending_op(slot.pending_id);
+    finished_.push_back({slot.id, slot.comm, slot.vtime});
     return true;
   });
   return progressed;
@@ -98,27 +96,30 @@ bool ProgressEngine::is_complete(std::uint64_t id) const {
   return true;
 }
 
+void ProgressEngine::observe(std::uint64_t id) {
+  for (auto it = finished_.begin(); it != finished_.end(); ++it) {
+    if (it->id == id) {
+      it->comm->clock().merge(it->vtime);
+      finished_.erase(it);
+      return;
+    }
+  }
+}
+
 void ProgressEngine::wait(std::uint64_t id) {
-  while (!is_complete(id)) {
-    // Blocking passes replay operations on their own timelines; the
-    // waited operation's finish time merges into the rank clock when it
-    // retires.  A pass with no progress means another rank is still
-    // working; park until the mailbox sees a new event (plain yield
-    // outside verify mode).  The event count is snapshotted *before* the
-    // pass so an arrival mid-pass is never slept through; under the
-    // starvation monitor the park doubles as the deadlock-detection point
-    // for ranks spinning here rather than in a blocking take.
+  for (;;) {
     mprt::Comm* comm = nullptr;
     for (auto& slot : slots_) {
-      if (slot.id == id) {
-        comm = slot.comm;
-        break;
-      }
+      if (slot.id == id) comm = slot.comm;
     }
-    if (comm == nullptr) return;  // retired by a concurrent pass
+    if (comm == nullptr) break;
+    // A pass with no progress means another rank is still working: park
+    // until the mailbox sees a new event.  The event count is snapshotted
+    // *before* the pass so an arrival mid-pass is never slept through.
     const std::uint64_t seen = comm->mail_events();
-    if (!poll(StepMode::kBlocking)) comm->idle_wait(seen);
+    if (!poll()) comm->idle_wait(seen);
   }
+  observe(id);
 }
 
 bool Request::done() const {
@@ -127,11 +128,10 @@ bool Request::done() const {
 
 bool Request::test() {
   if (engine_ == nullptr) return true;
-  // A blocking-mode pass, as in MPI_Test: queued messages are replayed
-  // onto the operation's timeline then and there, so while(!test())
-  // loops make progress even though they never advance the rank clock.
-  engine_->poll(StepMode::kBlocking);
-  return engine_->is_complete(id_);
+  engine_->poll();  // as in MPI_Test: one progress pass
+  if (!engine_->is_complete(id_)) return false;
+  engine_->observe(id_);
+  return true;
 }
 
 void Request::wait() {
@@ -143,16 +143,17 @@ void wait_all(std::span<Request> requests) {
 }
 
 int test_any(std::span<Request> requests) {
-  bool polled = false;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (!polled && requests[i].valid()) {
-      (void)requests[i].test();  // one progress pass for the whole batch
-      polled = true;
+  for (const auto& request : requests) {
+    if (request.valid()) {
+      request.engine_->poll();  // one progress pass for the whole batch
       break;
     }
   }
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].done()) return static_cast<int>(i);
+    if (requests[i].done()) {
+      requests[i].wait();  // complete: observes it without another pass
+      return static_cast<int>(i);
+    }
   }
   return -1;
 }

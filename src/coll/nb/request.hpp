@@ -4,13 +4,13 @@
 // ProgressEngine (coll/nb/progress.hpp).  Handles are small and copyable,
 // like MPI_Request: copies refer to the same operation, and a
 // default-constructed handle is the analogue of MPI_REQUEST_NULL — already
-// complete, wait() is a no-op.  Operations that finish during launch (for
-// example any collective on a single-rank communicator) return a null
-// handle directly.
+// complete, wait() is a no-op.  An operation that finishes during launch
+// still returns a handle, already done: waiting on it joins its finish
+// time into the rank clock.
 //
-// Progress happens only inside wait()/test() and explicit
+// Progress happens only at launch, inside wait()/test() and at explicit
 // ProgressEngine::poll() calls — there is no progress thread.  All handles
-// of a rank must be used from that rank's thread.
+// of a rank must be used by that rank.
 #pragma once
 
 #include <cstdint>
@@ -26,24 +26,26 @@ class Request {
   /// Null handle: refers to no operation and reads as complete.
   Request() = default;
 
-  /// False for null handles (including requests whose operation completed
-  /// during launch).
+  /// False for null handles.
   [[nodiscard]] bool valid() const { return engine_ != nullptr; }
 
   /// True when the operation has completed.  Does not attempt progress.
   [[nodiscard]] bool done() const;
 
   /// Makes one progress pass over the rank's pending operations and
-  /// returns whether this one has completed (MPI_Test).
+  /// returns whether this one has completed (MPI_Test).  A completion
+  /// reported here joins the operation's finish time into the rank clock.
   bool test();
 
   /// Progresses the rank's pending operations until this one completes
-  /// (MPI_Wait).  Never blocks in a mailbox receive, so waiting on one
-  /// operation can never deadlock another that still needs progress.
+  /// (MPI_Wait), then joins its finish time into the rank clock.  Never
+  /// blocks in a mailbox receive, so waiting on one operation can never
+  /// deadlock another that still needs progress.
   void wait();
 
  private:
   friend class ProgressEngine;
+  friend int test_any(std::span<Request> requests);
   Request(ProgressEngine* engine, std::uint64_t id)
       : engine_(engine), id_(id) {}
 
@@ -56,9 +58,9 @@ class Request {
 /// order does not matter.
 void wait_all(std::span<Request> requests);
 
-/// One progress pass, then returns the index of some completed request, or
-/// -1 if none is complete yet (MPI_Testany).  Null requests count as
-/// complete.
+/// One progress pass, then returns the index of some completed request
+/// (observing its completion, as test does), or -1 if none is complete yet
+/// (MPI_Testany).  Null requests count as complete.
 int test_any(std::span<Request> requests);
 
 }  // namespace rsmpi::coll::nb

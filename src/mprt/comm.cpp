@@ -240,24 +240,15 @@ SimStats Comm::sim_stats() const {
 }
 
 std::uint64_t Comm::virtual_workers() const {
-  if (VirtualScheduler* sched = runtime_.scheduler()) {
-    return static_cast<std::uint64_t>(sched->workers());
-  }
-  return 0;
+  return static_cast<std::uint64_t>(runtime_.scheduler()->workers());
 }
 
 std::uint64_t Comm::parked_ranks() const {
-  if (VirtualScheduler* sched = runtime_.scheduler()) {
-    return static_cast<std::uint64_t>(sched->peak_parked());
-  }
-  return 0;
+  return static_cast<std::uint64_t>(runtime_.scheduler()->peak_parked());
 }
 
 std::uint64_t Comm::park_events() const {
-  if (VirtualScheduler* sched = runtime_.scheduler()) {
-    return sched->park_events();
-  }
-  return 0;
+  return runtime_.scheduler()->park_events();
 }
 
 ScheduleOracle* Comm::schedule_oracle() const {
@@ -293,25 +284,6 @@ std::optional<Message> Comm::try_recv_message(int source, int tag) {
   }
   auto msg = runtime_.mailbox(global_rank_).try_take(context_, source, tag);
   if (msg.has_value()) {
-    state_->clock.merge(msg->arrival_vtime_s);
-    state_->clock.advance(recv_overhead_from(msg->source));
-    state_->recv_count += 1;
-    state_->recv_bytes += msg->payload_size();
-  }
-  return msg;
-}
-
-std::optional<Message> Comm::try_recv_due(int source, int tag) {
-  if (source != kAnySource && (source < 0 || source >= size())) {
-    throw ArgumentError("try_recv_due: source rank " + std::to_string(source) +
-                        " out of range [0, " + std::to_string(size()) + ")");
-  }
-  auto msg = runtime_.mailbox(global_rank_).try_take_due(
-      context_, source, tag, state_->clock.now());
-  if (msg.has_value()) {
-    // arrival <= now by construction, so the merge is a no-op; only the
-    // receive overhead is charged — this is what makes polling between
-    // compute chunks overlap communication with the compute.
     state_->clock.merge(msg->arrival_vtime_s);
     state_->clock.advance(recv_overhead_from(msg->source));
     state_->recv_count += 1;

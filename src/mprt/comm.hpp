@@ -59,7 +59,7 @@ struct RecvDeadline {
 
 /// Per-rank mutable state shared by every communicator of that rank: the
 /// virtual clock, the traffic counters, and the pending-operation table.
-/// Owned by the runtime; only touched from the rank's own thread.
+/// Owned by the runtime; only touched by the rank itself.
 struct RankState {
   VirtualClock clock;
   /// Last sequence number sent on each (context, destination) channel; the
@@ -114,8 +114,8 @@ struct RecvStatus {
 
 /// One rank's endpoint into one communicator.  World communicators are
 /// created by the runtime, one per rank; subcommunicators by split().
-/// A Comm must only be used from its rank's thread.  All messaging is
-/// two-sided and buffered: send never blocks.
+/// A Comm must only be used by its own rank.  All messaging is two-sided
+/// and buffered: send never blocks.
 class Comm {
  public:
   /// World communicator over all ranks; called by the runtime.
@@ -230,20 +230,14 @@ class Comm {
   Message recv_message(int source, int tag);
 
   /// True when a matching message is already queued (non-blocking probe).
+  /// A probe that finds nothing yields this rank to the others, so a probe
+  /// loop makes progress on any number of workers.
   [[nodiscard]] bool probe(int source, int tag);
 
   /// Non-blocking receive: takes a matching message if one is queued,
-  /// std::nullopt otherwise.  Clock accounting matches recv_message.
+  /// std::nullopt otherwise (after yielding, like probe).  Clock
+  /// accounting matches recv_message.
   std::optional<Message> try_recv_message(int source, int tag);
-
-  /// Non-blocking receive that only takes a message whose modelled arrival
-  /// time has passed on this rank's virtual clock ("has it arrived *yet*?").
-  /// A message that is physically queued but virtually still in flight is
-  /// left queued and std::nullopt is returned.  This is the receive the
-  /// nonblocking progress engine polls with: it never charges modelled
-  /// waiting, so communication overlapped with compute is free on the
-  /// virtual timeline.
-  std::optional<Message> try_recv_due(int source, int tag);
 
   // -- Typed point-to-point -----------------------------------------------
 
@@ -550,9 +544,8 @@ class Comm {
     return state_->inter_node_bytes;
   }
 
-  /// Rank-virtualization snapshot (ISSUE 10): OS worker threads the ranks
-  /// are multiplexed onto, peak simultaneously-parked virtual ranks, and
-  /// total park transitions so far.  All 0 on the thread-per-rank path.
+  /// Scheduler snapshot: OS worker threads the ranks are multiplexed onto,
+  /// peak simultaneously-parked ranks, and total park transitions so far.
   /// Engine-wide (not per-rank) counters, but readable mid-run without
   /// communication, like the rest of the snapshot accessors.
   [[nodiscard]] std::uint64_t virtual_workers() const;
@@ -585,8 +578,7 @@ class Comm {
   [[nodiscard]] std::uint64_t mail_events() const;
 
   /// Parks this rank until its mailbox sees an event newer than
-  /// `seen_events`; plain yield outside model-checking runs.  Throws
-  /// DeadlockError when the park completes a global deadlock.
+  /// `seen_events`.  Throws DeadlockError when no rank can ever send.
   void idle_wait(std::uint64_t seen_events);
 
   /// Group membership of this communicator: group rank -> global rank.

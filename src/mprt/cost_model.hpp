@@ -1,13 +1,15 @@
 // LogGP-style communication cost model and per-rank virtual clock.
 //
 // The paper's figures plot efficiency against processor count on a 92-node
-// IBM P655 cluster.  This repository runs every rank as a thread of one
-// process on a (possibly single-core) laptop, so wall-clock speedup across
-// ranks is meaningless.  Instead each rank carries a *virtual clock*:
+// IBM P655 cluster.  This repository runs every rank as a fiber on a few
+// worker threads of one process on a (possibly single-core) laptop, so
+// wall-clock speedup across ranks is meaningless.  Instead each rank
+// carries a *virtual clock*:
 //
-//   * local computation advances the clock by measured per-thread CPU time
-//     (immune to timesharing, because each thread is only charged while it
-//     is actually running), and
+//   * local computation advances the clock by the measured CPU time of the
+//     worker thread running it (immune to timesharing, because a thread is
+//     only charged while it is actually running, and a compute section
+//     never spans a switch to another rank), and
 //   * every message carries its sender's virtual send-completion time; the
 //     receiver's clock becomes max(own, sender + L + bytes*G) + o_r.
 //
@@ -47,7 +49,7 @@ struct CostModel {
   /// CPU is divided by min(cores_per_rank, pool width) before being
   /// charged — the host may timeshare the workers on fewer physical
   /// cores, but the modelled timeline reflects the configured machine,
-  /// exactly as rank threads already timeshare one host core yet model a
+  /// exactly as ranks already timeshare one host core yet model a
   /// cluster node each.  Default 1 keeps every pre-existing experiment's
   /// timeline unchanged even with RSMPI_LOCAL_THREADS set.
   int cores_per_rank = 1;
@@ -462,6 +464,14 @@ inline double thread_cpu_seconds() {
          static_cast<double>(ts.tv_nsec) * 1.0e-9;
 }
 
+namespace detail {
+/// Compute sections open on the calling thread that read its CPU clock.
+/// The fiber scheduler refuses to park or yield a rank while its worker
+/// has one open; a fiber cannot migrate without doing one of the two, so a
+/// per-thread count is a per-rank count.
+inline thread_local int open_compute_sections = 0;
+}  // namespace detail
+
 /// RAII guard that measures a local compute section with the per-thread CPU
 /// clock and charges it (scaled by CostModel::compute_scale) to a rank's
 /// virtual clock.  At compute_scale == 0 the section is free and no clock
@@ -471,12 +481,18 @@ inline double thread_cpu_seconds() {
 ///     ComputeTimer t(comm.clock(), comm.cost_model());
 ///     ... pure local work, no messaging ...
 ///   }  // clock advanced here
+///
+/// A section must not span a blocking receive or a poll: the rank's
+/// worker thread would run other ranks meanwhile, and their CPU time would
+/// land on this rank's clock.  The scheduler throws instead.
 class ComputeTimer {
  public:
   ComputeTimer(VirtualClock& clock, const CostModel& model)
       : clock_(clock), scale_(model.compute_scale),
         start_(scale_ == 0.0 ? 0.0 : thread_cpu_seconds()),
-        stopped_(scale_ == 0.0) {}
+        stopped_(scale_ == 0.0) {
+    if (!stopped_) ++detail::open_compute_sections;
+  }
 
   ComputeTimer(const ComputeTimer&) = delete;
   ComputeTimer& operator=(const ComputeTimer&) = delete;
@@ -487,6 +503,7 @@ class ComputeTimer {
   void stop() {
     if (!stopped_) {
       stopped_ = true;
+      --detail::open_compute_sections;
       clock_.advance((thread_cpu_seconds() - start_) * scale_);
     }
   }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <iterator>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "util/error.hpp"
@@ -76,14 +75,12 @@ void Mailbox::put(Message msg, bool front) {
       queue_.push_back(std::move(msg));
     }
   }
-  // notify_all rather than notify_one: only the owner blocks in take(), but
-  // it may be woken spuriously by non-matching messages and must re-check.
-  cv_.notify_all();
+  // The owner may be woken by a non-matching message; it re-checks.
   if (waiter_ != nullptr) waiter_->wake();
 }
 
-std::size_t Mailbox::select_locked(std::int64_t context, int source, int tag,
-                                   const double* arrival_cutoff) {
+std::size_t Mailbox::select_locked(std::int64_t context, int source,
+                                   int tag) {
   // Under deterministic wildcard selection, a pattern several streams
   // satisfy is resolved by canonical (source, seq) order instead of by the
   // racy physical put order, so a model-checker trace replays exactly.
@@ -119,11 +116,6 @@ std::size_t Mailbox::select_locked(std::int64_t context, int source, int tag,
       }
     }
     if (blocked) continue;
-    // Due-only mode: a stream whose head is still virtually in flight
-    // yields nothing (a later same-stream message may not overtake it).
-    if (arrival_cutoff != nullptr && m.arrival_vtime_s > *arrival_cutoff) {
-      continue;
-    }
     if (!canonical) return i;
     if (best == npos ||
         std::pair(m.source, m.seq) <
@@ -162,92 +154,32 @@ void Mailbox::throw_if_dead_locked(bool have_match) const {
   }
 }
 
-namespace {
-
-/// How long a starvation suspicion must hold before it is declared: long
-/// enough for any already-issued wakeup to land (the waking rank would bump
-/// the monitor's version), short enough that exhaustive fault exploration
-/// stays fast.
-constexpr auto kStarvationConfirmWindow = std::chrono::milliseconds(20);
-
-}  // namespace
-
-Message Mailbox::take_monitored(std::int64_t context, int source, int tag,
-                                std::unique_lock<std::mutex>& lock) {
-  for (;;) {
-    if (aborted_) {
-      throw AbortError("mailbox: runtime aborted while waiting for message");
-    }
-    std::size_t idx = select_locked(context, source, tag, nullptr);
-    if (idx != npos) return remove_locked(idx);
-    throw_if_dead_locked(/*have_match=*/false);  // PeerLostError path
-    if (monitor_->starved()) {
-      throw DeadlockError(
-          "mailbox: every live rank is blocked with no deliverable message "
-          "(global deadlock detected by the verify-mode starvation monitor)");
-    }
-    monitor_->enter_blocked();
-    if (monitor_->all_blocked()) {
-      // This block may have completed a global deadlock; wait out the
-      // confirmation window, then re-check both the monitor *and* our own
-      // queue (a put issued just before we blocked lands here as a match,
-      // never as a false deadlock).
-      const std::uint64_t version = monitor_->version();
-      cv_.wait_for(lock, kStarvationConfirmWindow);
-      idx = select_locked(context, source, tag, nullptr);
-      if (idx == npos && !aborted_ && monitor_->confirm_starved(version)) {
-        monitor_->leave_blocked();
-        throw DeadlockError(
-            "mailbox: every live rank is blocked with no deliverable "
-            "message (global deadlock detected by the verify-mode "
-            "starvation monitor)");
-      }
-      monitor_->leave_blocked();
-      continue;  // re-runs the full selection/error checks
-    }
-    const std::uint64_t seen = events_;
-    cv_.wait(lock, [&] {
-      return aborted_ || monitor_->starved() || events_ != seen ||
-             relevant_lost_locked() >= 0;
-    });
-    monitor_->leave_blocked();
-  }
-}
-
 void Mailbox::wait_for_event_locked(
     std::unique_lock<std::mutex>& lock,
     const std::chrono::steady_clock::time_point* deadline, const char* what) {
-  if (waiter_ != nullptr) {
-    if (waiter_->deadlock_declared()) {
-      throw DeadlockError(
-          std::string("mailbox: every live rank is parked with no "
-                      "deliverable message (global deadlock detected by the "
-                      "virtualized scheduler while ") +
-          what + ")");
-    }
-    // The park may return spuriously (deadline, deadlock wake, stale
-    // notify); the caller's loop re-checks its predicate, and re-entering
-    // here converts a deadlock declaration into the throw above.
-    waiter_->park(lock, deadline);
-    return;
+  if (waiter_ == nullptr) {
+    throw Error(std::string("mailbox: nothing queued and no rank waiter to "
+                            "park while ") +
+                what + " (only run() bodies may block)");
   }
-  const std::uint64_t seen = events_;
-  const auto pred = [&] {
-    return aborted_ || events_ != seen || relevant_lost_locked() >= 0;
-  };
-  if (deadline != nullptr) {
-    cv_.wait_until(lock, *deadline, pred);
-  } else {
-    cv_.wait(lock, pred);
+  if (waiter_->deadlock_declared()) {
+    throw DeadlockError(
+        std::string("mailbox: every live rank is parked with no deliverable "
+                    "message (global deadlock detected by the scheduler "
+                    "while ") +
+        what + ")");
   }
+  // The park may return spuriously (deadline, deadlock wake, stale
+  // notify); the caller's loop re-checks its predicate, and re-entering
+  // here converts a deadlock declaration into the throw above.
+  waiter_->park(lock, deadline);
 }
 
 Message Mailbox::take(std::int64_t context, int source, int tag) {
   std::unique_lock lock(mutex_);
-  if (monitor_ != nullptr) return take_monitored(context, source, tag, lock);
   for (;;) {
     const std::size_t idx =
-        aborted_ ? npos : select_locked(context, source, tag, nullptr);
+        aborted_ ? npos : select_locked(context, source, tag);
     if (aborted_ || relevant_lost_locked() >= 0) {
       // A match that is already queued is still deliverable even when a
       // (different) peer died; abort and matchless loss throw here.
@@ -267,7 +199,7 @@ std::optional<Message> Mailbox::take_for(std::int64_t context, int source,
   std::unique_lock lock(mutex_);
   for (;;) {
     const std::size_t idx =
-        aborted_ ? npos : select_locked(context, source, tag, nullptr);
+        aborted_ ? npos : select_locked(context, source, tag);
     if (aborted_ || relevant_lost_locked() >= 0) {
       throw_if_dead_locked(idx != npos);
       return remove_locked(idx);
@@ -280,32 +212,23 @@ std::optional<Message> Mailbox::take_for(std::int64_t context, int source,
 
 std::optional<Message> Mailbox::try_take(std::int64_t context, int source,
                                          int tag) {
-  std::lock_guard lock(mutex_);
-  const std::size_t idx = select_locked(context, source, tag, nullptr);
-  throw_if_dead_locked(idx != npos);
-  if (idx == npos) return std::nullopt;
-  return remove_locked(idx);
-}
-
-std::optional<Message> Mailbox::try_take_due(std::int64_t context, int source,
-                                             int tag, double arrival_cutoff) {
-  std::lock_guard lock(mutex_);
-  const std::size_t idx =
-      select_locked(context, source, tag, &arrival_cutoff);
-  // Due-only polling must not throw PeerLostError on an empty poll: the
-  // blocking wait that follows the poll loop surfaces it (an in-flight but
-  // not-yet-due message is a normal condition, a lost peer is not — but
-  // the poller cannot tell them apart, the waiter can).
-  if (aborted_) {
-    throw AbortError("mailbox: runtime aborted while waiting for message");
+  {
+    std::lock_guard lock(mutex_);
+    const std::size_t idx = select_locked(context, source, tag);
+    throw_if_dead_locked(idx != npos);
+    if (idx != npos) return remove_locked(idx);
   }
-  if (idx == npos) return std::nullopt;
-  return remove_locked(idx);
+  yield_owner();
+  return std::nullopt;
 }
 
 bool Mailbox::probe(std::int64_t context, int source, int tag) {
-  std::lock_guard lock(mutex_);
-  return select_locked(context, source, tag, nullptr) != npos;
+  {
+    std::lock_guard lock(mutex_);
+    if (select_locked(context, source, tag) != npos) return true;
+  }
+  yield_owner();
+  return false;
 }
 
 std::size_t Mailbox::pending() const {
@@ -331,7 +254,6 @@ void Mailbox::abort() {
     aborted_ = true;
     ++events_;
   }
-  cv_.notify_all();
   if (waiter_ != nullptr) waiter_->wake();
 }
 
@@ -343,7 +265,6 @@ void Mailbox::notify_peer_lost(int global_rank) {
     if (!known) lost_peers_.push_back(global_rank);
     ++events_;
   }
-  cv_.notify_all();
   if (waiter_ != nullptr) waiter_->wake();
 }
 
@@ -353,68 +274,17 @@ std::uint64_t Mailbox::event_count() const {
 }
 
 void Mailbox::idle_wait(std::uint64_t seen_events) {
-  if (waiter_ != nullptr) {
-    // Virtualized owner: a yield here would spin the worker (the sender it
-    // waits on may be queued behind it on the same worker) — park instead.
-    // `seen_events` predates the caller's fruitless blocking-mode progress
-    // pass, so a newer event means a message may have arrived mid-pass.
-    std::unique_lock lock(mutex_);
-    for (;;) {
-      if (aborted_) {
-        throw AbortError(
-            "mailbox: runtime aborted while waiting for progress");
-      }
-      if (events_ != seen_events) return;
-      wait_for_event_locked(lock, nullptr, "polling nonblocking operations");
-    }
-  }
-  if (monitor_ == nullptr) {
-    std::this_thread::yield();
-    return;
-  }
+  // `seen_events` predates the caller's fruitless progress pass, so a newer
+  // event means a message may have arrived mid-pass: return and let the
+  // caller poll again rather than park on stale information.
   std::unique_lock lock(mutex_);
-  if (aborted_) {
-    throw AbortError("mailbox: runtime aborted while waiting for progress");
-  }
-  if (monitor_->starved()) {
-    throw DeadlockError(
-        "mailbox: every live rank is blocked with no deliverable message "
-        "(global deadlock detected while polling nonblocking operations)");
-  }
-  // `seen_events` was snapshotted before the caller's (fruitless) progress
-  // pass.  A newer event means a message may have arrived mid-pass: return
-  // and let the caller poll again rather than park on stale information.
-  if (events_ != seen_events) return;
-  monitor_->enter_blocked();
-  if (monitor_->all_blocked()) {
-    const std::uint64_t version = monitor_->version();
-    cv_.wait_for(lock, kStarvationConfirmWindow);
-    // The caller's blocking-mode pass consumed everything deliverable, so
-    // with no event since that pass (and no waiter progress anywhere) any
-    // still-queued message is permanently undeliverable: a real deadlock.
-    if (events_ == seen_events && !aborted_ &&
-        monitor_->confirm_starved(version)) {
-      monitor_->leave_blocked();
-      throw DeadlockError(
-          "mailbox: every live rank is blocked with no deliverable message "
-          "(global deadlock detected while polling nonblocking operations)");
+  for (;;) {
+    if (aborted_) {
+      throw AbortError("mailbox: runtime aborted while waiting for progress");
     }
-    monitor_->leave_blocked();
-    return;
+    if (events_ != seen_events) return;
+    wait_for_event_locked(lock, nullptr, "polling nonblocking operations");
   }
-  cv_.wait(lock, [&] {
-    return aborted_ || monitor_->starved() || events_ != seen_events;
-  });
-  monitor_->leave_blocked();
-}
-
-void Mailbox::wake_for_starvation() {
-  {
-    std::lock_guard lock(mutex_);
-    ++events_;
-  }
-  cv_.notify_all();
-  if (waiter_ != nullptr) waiter_->wake();
 }
 
 std::vector<int> Mailbox::lost_peers() const {
@@ -430,7 +300,6 @@ void Mailbox::set_peer_loss_scope(std::optional<std::vector<int>> global_ranks) 
   // Widening the scope can make a previously-ignored loss relevant to a
   // blocked take (not the normal usage — the owner sets its own scope while
   // not blocked — but the wake keeps the primitive safe either way).
-  cv_.notify_all();
   if (waiter_ != nullptr) waiter_->wake();
 }
 

@@ -1,8 +1,9 @@
 #include "mprt/runtime.hpp"
 
-#include <chrono>
+#include <sched.h>
+
+#include <algorithm>
 #include <exception>
-#include <thread>
 
 #include "mprt/scheduler.hpp"
 #include "util/error.hpp"
@@ -10,26 +11,26 @@
 namespace rsmpi::mprt {
 
 namespace {
-thread_local Comm* t_current_comm = nullptr;
 
-/// RAII registration of the rank thread's world communicator.
-struct CurrentCommGuard {
-  explicit CurrentCommGuard(Comm& comm) { t_current_comm = &comm; }
-  ~CurrentCommGuard() { t_current_comm = nullptr; }
-};
+/// ExecPolicy::workers when positive, else min(ranks, usable CPUs).
+int worker_count(int num_ranks, int requested) {
+  if (requested > 0) return requested;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const int cpus =
+      sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 1;
+  return std::clamp(cpus, 1, num_ranks);
+}
+
 }  // namespace
 
 Comm& this_comm() {
-  // Virtualized ranks carry their communicator in the fiber slot — the
-  // worker's thread_local would be shared by every rank multiplexed onto it.
-  if (FiberSlot* slot = current_fiber_slot()) {
-    if (slot->comm != nullptr) return *slot->comm;
+  FiberSlot* slot = current_fiber_slot();
+  if (slot == nullptr || slot->comm == nullptr) {
+    throw Error("this_comm: no rank is active here (only valid inside a "
+                "run() body)");
   }
-  if (t_current_comm == nullptr) {
-    throw Error("this_comm: no rank is active on this thread (only valid "
-                "inside a run() body)");
-  }
-  return *t_current_comm;
+  return *slot->comm;
 }
 
 Runtime::Runtime(int num_ranks, CostModel model, SimConfig sim)
@@ -47,14 +48,9 @@ Runtime::Runtime(int num_ranks, CostModel model, SimConfig sim)
     chaos_ = std::make_unique<ChaosController>(sim, num_ranks);
   }
   if (sim.oracle != nullptr) {
-    // Model-checking mode: liveness is checked structurally (starvation
-    // monitor) and wildcard matching is made canonical so a recorded
-    // decision string replays the identical execution.
-    monitor_ = std::make_unique<StarvationMonitor>(num_ranks);
-    for (auto& mb : mailboxes_) {
-      mb->set_starvation_monitor(monitor_.get());
-      mb->set_deterministic_wildcard(true);
-    }
+    // Model-checking mode: wildcard matching is made canonical so a
+    // recorded decision string replays the identical execution.
+    for (auto& mb : mailboxes_) mb->set_deterministic_wildcard(true);
   }
 }
 
@@ -74,23 +70,6 @@ void Runtime::notify_peer_lost(int global_rank) {
   for (auto& mb : mailboxes_) mb->notify_peer_lost(global_rank);
 }
 
-void Runtime::note_rank_finished(int global_rank) {
-  (void)global_rank;
-  if (!monitor_) return;
-  monitor_->note_finished();
-  // This exit may have left every remaining rank blocked — and with no
-  // further enter_blocked transition, no waiter would ever confirm the
-  // deadlock.  The finishing thread is the witness: wait out the
-  // confirmation window, declare, and wake the sleepers (it holds no
-  // mailbox lock, so it may notify them all).
-  if (!monitor_->all_blocked()) return;
-  const std::uint64_t version = monitor_->version();
-  std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  if (monitor_->confirm_starved(version)) {
-    for (auto& mb : mailboxes_) mb->wake_for_starvation();
-  }
-}
-
 RunResult run(int num_ranks, const std::function<void(Comm&)>& body,
               const CostModel& model, const SimConfig& sim,
               const ExecPolicy& exec) {
@@ -104,25 +83,12 @@ RunResult run(int num_ranks, const std::function<void(Comm&)>& body,
 
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(num_ranks));
 
-  // One rank's body plus its error discipline, shared by both execution
-  // modes.  Fires note_rank_finished on every exit path (return, kill,
-  // abort): under the starvation monitor this rank's departure may leave
-  // the remainder all-blocked, and the finishing context must notice.
+  // One rank's body plus its error discipline.
   const auto rank_main = [&](int r) {
-    struct FinishGuard {
-      Runtime& rt;
-      int rank;
-      ~FinishGuard() { rt.note_rank_finished(rank); }
-    } finish{runtime, r};
     try {
       Comm& comm = *comms[static_cast<std::size_t>(r)];
-      if (FiberSlot* slot = current_fiber_slot()) {
-        slot->comm = &comm;
-        body(comm);
-      } else {
-        CurrentCommGuard guard(comm);
-        body(comm);
-      }
+      current_fiber_slot()->comm = &comm;
+      body(comm);
     } catch (const RankKilledError&) {
       // A fault-plan kill is a modelled failure, not a teardown: peers
       // get the typed PeerLostError (and may handle it and continue)
@@ -135,34 +101,19 @@ RunResult run(int num_ranks, const std::function<void(Comm&)>& body,
     }
   };
 
-  // Oracle-driven (model-checking) runs own rank scheduling through the
-  // starvation monitor; they always use thread-per-rank.
-  int workers = exec.workers < 0 ? VirtualScheduler::workers_from_env()
-                                 : exec.workers;
-  if (runtime.monitor() != nullptr) workers = 0;
-
   RunResult result;
-  if (workers > 0) {
-    VirtualScheduler sched(num_ranks, workers, exec.stack_bytes);
+  {
+    VirtualScheduler sched(num_ranks, worker_count(num_ranks, exec.workers),
+                           exec.stack_bytes);
     for (int r = 0; r < num_ranks; ++r) {
       runtime.mailbox(r).set_rank_waiter(&sched.waiter(r));
     }
     runtime.set_scheduler(&sched);
     sched.run(rank_main);
     runtime.set_scheduler(nullptr);
-    for (int r = 0; r < num_ranks; ++r) {
-      runtime.mailbox(r).set_rank_waiter(nullptr);
-    }
     result.workers = static_cast<std::uint64_t>(sched.workers());
     result.parked_ranks = static_cast<std::uint64_t>(sched.peak_parked());
     result.park_events = sched.park_events();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(num_ranks));
-    for (int r = 0; r < num_ranks; ++r) {
-      threads.emplace_back([&rank_main, r] { rank_main(r); });
-    }
-    for (auto& t : threads) t.join();
   }
 
   // Rethrow the first real (non-cascade) failure, preferring low ranks so
@@ -216,13 +167,11 @@ RunResult run(int num_ranks, const std::function<void(Comm&)>& body,
     result.user_stats["par.threads"] +=
         static_cast<double>(result.local_threads);
   }
-  if (result.workers > 0) {
-    result.user_stats["rt.workers"] += static_cast<double>(result.workers);
-    result.user_stats["rt.parked_ranks"] +=
-        static_cast<double>(result.parked_ranks);
-    result.user_stats["rt.park_events"] +=
-        static_cast<double>(result.park_events);
-  }
+  result.user_stats["rt.workers"] += static_cast<double>(result.workers);
+  result.user_stats["rt.parked_ranks"] +=
+      static_cast<double>(result.parked_ranks);
+  result.user_stats["rt.park_events"] +=
+      static_cast<double>(result.park_events);
   if (model.two_tier()) {
     result.user_stats["tier.intra_bytes"] +=
         static_cast<double>(result.intra_node_bytes);

@@ -1,6 +1,6 @@
-// The virtual machine: runs rank bodies against wired mailboxes — one OS
-// thread per rank by default, or many virtual ranks multiplexed onto a
-// small worker pool (ISSUE 10, RSMPI_WORKERS / ExecPolicy).
+// The virtual machine: runs rank bodies against wired mailboxes, every
+// rank a fiber multiplexed onto a small pool of OS worker threads
+// (mprt/scheduler.hpp).
 #pragma once
 
 #include <functional>
@@ -40,35 +40,23 @@ class Runtime {
   /// AbortError so a single throwing rank cannot deadlock the machine.
   void abort_all();
 
-  /// Records that `global_rank`'s thread has exited (fault-plan kill).
+  /// Records that `global_rank`'s body has exited (fault-plan kill).
   /// Every mailbox is poisoned so receives that would block forever on the
   /// dead rank throw PeerLostError — a typed error, not a hang.
   void notify_peer_lost(int global_rank);
 
-  /// The run's starvation monitor, or nullptr outside oracle-driven
-  /// (model-checking) runs.
-  [[nodiscard]] StarvationMonitor* monitor() { return monitor_.get(); }
-
-  /// The virtualized run's fiber scheduler, or nullptr on the
-  /// thread-per-rank path.  Installed by run() for the duration of the
-  /// worker pool's execution so mid-run stat readers (Comm accessors,
-  /// RSMPI_GetStats) can snapshot the park counters; its counters are
-  /// safe to read from rank fibers while the pool is live.
+  /// The run's fiber scheduler, installed by run() for the duration of
+  /// the worker pool's execution — that is, whenever a rank body runs — so
+  /// mid-run stat readers (Comm accessors, RSMPI_GetStats) can snapshot
+  /// the park counters; its counters are safe to read from rank fibers.
   void set_scheduler(VirtualScheduler* sched) { scheduler_ = sched; }
   [[nodiscard]] VirtualScheduler* scheduler() const { return scheduler_; }
-
-  /// Records that `global_rank`'s body returned or threw (any cause).
-  /// Under the starvation monitor this may complete a global deadlock of
-  /// the remaining ranks; the finishing thread confirms and wakes them so
-  /// they throw DeadlockError instead of hanging.
-  void note_rank_finished(int global_rank);
 
  private:
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<RankState> states_;
   CostModel model_;
   std::unique_ptr<ChaosController> chaos_;
-  std::unique_ptr<StarvationMonitor> monitor_;
   VirtualScheduler* scheduler_ = nullptr;
 };
 
@@ -110,11 +98,10 @@ struct RunResult {
   /// by name across ranks — how service-layer collectors (svc::
   /// StatCollector) surface their aggregates through the run result.
   std::map<std::string, double> user_stats;
-  /// Rank-virtualization counters (ISSUE 10; all 0 on the legacy
-  /// thread-per-rank path): OS worker threads the ranks were multiplexed
-  /// onto, peak simultaneously-parked virtual ranks, and total park
-  /// transitions through the scheduler gate.  Mirrored into user_stats as
-  /// "rt.workers" / "rt.parked_ranks" / "rt.park_events" when virtualized.
+  /// Scheduler counters: OS worker threads the ranks were multiplexed
+  /// onto, peak simultaneously-parked ranks, and total park transitions
+  /// through the scheduler gate.  Mirrored into user_stats as
+  /// "rt.workers" / "rt.parked_ranks" / "rt.park_events".
   std::uint64_t workers = 0;
   std::uint64_t parked_ranks = 0;
   std::uint64_t park_events = 0;
@@ -126,20 +113,19 @@ struct RunResult {
   std::uint64_t inter_node_bytes = 0;
 };
 
-/// How run() executes its ranks (ISSUE 10).
+/// How run() executes its ranks.
 struct ExecPolicy {
-  /// OS worker threads to multiplex the ranks onto: -1 reads RSMPI_WORKERS
-  /// (unset/0 keeps thread-per-rank), 0 forces thread-per-rank, >= 1
-  /// forces that many workers.  Oracle-driven (model-checking) runs always
-  /// use threads regardless — the verify explorer owns rank scheduling.
-  int workers = -1;
+  /// OS worker threads to multiplex the ranks onto; 0 (the default) means
+  /// min(ranks, CPUs in the process's affinity mask).
+  int workers = 0;
   /// Per-fiber stack size; 0 reads RSMPI_STACK_BYTES (default 256 KiB).
   std::size_t stack_bytes = 0;
 };
 
-/// Runs `body` on `num_ranks` ranks, each a thread with its own world
-/// Comm, and joins them.  If any rank throws, the runtime aborts the
-/// others and rethrows the lowest-ranked exception in the caller.
+/// Runs `body` on `num_ranks` ranks, each a fiber with its own world Comm,
+/// and returns when all have finished.  If any rank throws, the runtime
+/// aborts the others and rethrows the lowest-ranked exception in the
+/// caller.
 /// Passing a SimConfig activates deterministic fault injection
 /// (mprt/sim.hpp) for the duration of the run; every decision derives
 /// from the config's seed, so failures replay exactly.
@@ -148,10 +134,10 @@ RunResult run(int num_ranks, const std::function<void(Comm&)>& body,
               const SimConfig& sim = SimConfig{},
               const ExecPolicy& exec = ExecPolicy{});
 
-/// The calling thread's world communicator, set for the duration of its
+/// The calling rank's world communicator, set for the duration of its
 /// run() body — the analogue of MPI_COMM_WORLD being implicitly
 /// available, which the paper's RSMPI routines default to when no
-/// communicator is passed (§4).  Throws if called outside a rank thread.
+/// communicator is passed (§4).  Throws if called outside a rank.
 Comm& this_comm();
 
 }  // namespace rsmpi::mprt

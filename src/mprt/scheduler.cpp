@@ -5,9 +5,11 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "mprt/cost_model.hpp"
 #include "mprt/fiber.hpp"
 #include "util/error.hpp"
 
@@ -46,6 +48,7 @@ struct VirtualScheduler::Impl {
               const Clock::time_point* deadline) override {
       impl->park(f, lock, deadline);
     }
+    void yield() override { impl->yield(f); }
     void wake() override { impl->wake(f); }
     [[nodiscard]] bool deadlock_declared() const override {
       return impl->deadlocked.load(std::memory_order_acquire);
@@ -79,8 +82,21 @@ struct VirtualScheduler::Impl {
   std::atomic<bool> deadlocked{false};
   std::atomic<std::uint64_t> park_count{0};
 
+  /// A ComputeTimer measures its worker thread's CPU clock, which keeps
+  /// running for whichever fibers the worker hosts while this one is off
+  /// it — so a section must close before its rank parks or yields.
+  static void require_no_compute_section(const VFiber* f, const char* what) {
+    if (detail::open_compute_sections != 0) {
+      throw Error("rank " + std::to_string(f->rank) + " tried to " + what +
+                  " inside an open compute section; close the section "
+                  "first, or it is charged the CPU time of every rank its "
+                  "worker runs meanwhile");
+    }
+  }
+
   void park(VFiber* f, std::unique_lock<std::mutex>& owner_lock,
             const Clock::time_point* deadline) {
+    require_no_compute_section(f, "park");
     f->want_park = true;
     f->park_deadline = deadline;
     owner_lock.unlock();
@@ -90,6 +106,13 @@ struct VirtualScheduler::Impl {
     // the gate idle and relies on that predicate re-check instead.
     f->gate.store(kGateIdle);
     owner_lock.lock();
+  }
+
+  /// Steps aside without parking: the worker requeues the fiber at the
+  /// back of the ready queue (want_park stays false).
+  void yield(VFiber* f) {
+    require_no_compute_section(f, "yield");
+    f->fiber->suspend();
   }
 
   void wake(VFiber* f) {
@@ -183,7 +206,7 @@ struct VirtualScheduler::Impl {
         continue;
       }
       if (!f->want_park) {
-        ready.push_back(f);  // cooperative yield (no caller today)
+        ready.push_back(f);  // a yield: runnable, behind the others
         continue;
       }
       f->want_park = false;
@@ -221,14 +244,6 @@ thread_local VirtualScheduler::Impl::VFiber*
 FiberSlot* current_fiber_slot() {
   auto* f = VirtualScheduler::Impl::t_current_fiber;
   return f == nullptr ? nullptr : &f->slot;
-}
-
-int VirtualScheduler::workers_from_env() {
-  const char* raw = std::getenv("RSMPI_WORKERS");
-  if (raw == nullptr || *raw == '\0') return 0;
-  const long v = std::strtol(raw, nullptr, 10);
-  if (v < 0) return 0;
-  return static_cast<int>(std::min(v, 1024L));
 }
 
 std::size_t VirtualScheduler::default_stack_bytes() {

@@ -1,13 +1,16 @@
-// Virtual-rank scheduler (ISSUE 10): multiplexes many rank fibers onto a
-// small pool of OS worker threads.
+// Virtual-rank scheduler: the runtime's only executor.  Every rank is a
+// fiber, multiplexed onto a small pool of OS worker threads.
 //
-// Execution model.  Each virtual rank is a Fiber (mprt/fiber.hpp) that a
-// worker resumes off a shared FIFO ready queue.  A rank runs until its
-// blocking mailbox wait finds nothing deliverable, at which point the
-// mailbox's RankWaiter hook parks the fiber: it switches back to its
-// worker (Fiber::suspend), which picks up the next ready rank.  A sender's Mailbox::put
-// wakes the parked receiver through the same hook, requeueing its fiber —
-// possibly onto a different worker; fibers migrate freely.
+// Execution model.  Each rank is a Fiber (mprt/fiber.hpp) that a worker
+// resumes off a shared FIFO ready queue.  A rank runs until its blocking
+// mailbox wait finds nothing deliverable, at which point the mailbox's
+// RankWaiter hook parks the fiber: it switches back to its worker
+// (Fiber::suspend), which picks up the next ready rank.  A sender's
+// Mailbox::put wakes the parked receiver through the same hook, requeueing
+// its fiber — possibly onto a different worker; fibers migrate freely.  A
+// busy poll that finds nothing (try_recv, probe, nonblocking test) yields
+// instead: the fiber goes to the back of the ready queue and stays
+// runnable, so polling ranks never starve the ranks they wait for.
 //
 // The park/wake race is resolved by a three-state gate per fiber
 // (idle / notified / parked):
@@ -28,7 +31,13 @@
 // woken (only rank fibers send; the caller's thread is joined on the pool;
 // the par/ worker pools never touch mailboxes) — the scheduler sets a
 // sticky deadlocked flag and wakes every parked fiber, whose mailbox wait
-// loops convert it into DeadlockError.
+// loops convert it into DeadlockError.  This is also the model checker's
+// liveness check: oracle-driven runs execute on the same scheduler.
+//
+// Compute sections never span a park or a yield: a ComputeTimer charges
+// the CPU clock of the worker thread, which runs other fibers while this
+// one is off it.  Both throw rsmpi::Error when the calling worker has a
+// compute section open (mprt/cost_model.hpp counts them per thread).
 #pragma once
 
 #include <chrono>
@@ -44,29 +53,24 @@ namespace rsmpi::mprt {
 
 class Comm;
 
-/// Per-fiber replacement for the runtime's per-thread context: the rank's
-/// world communicator (this_comm) and its nonblocking progress engine
-/// (coll/nb) live here when the rank is a fiber, because thread_locals
-/// would be shared by every rank multiplexed onto the worker.  The
-/// nb_engine slot is opaque to keep mprt independent of coll/.
+/// A rank's execution context: its world communicator (this_comm) and its
+/// nonblocking progress engine (coll/nb).  It lives with the fiber, not in
+/// a thread_local, because every rank multiplexed onto a worker would
+/// share the thread_local.  The nb_engine slot is opaque to keep mprt
+/// independent of coll/.
 struct FiberSlot {
   Comm* comm = nullptr;
   std::shared_ptr<void> nb_engine;
   int rank = -1;
 };
 
-/// The calling context's fiber slot, or nullptr when the caller is a plain
-/// rank thread (threaded execution, or code outside any run).
+/// The calling rank's fiber slot, or nullptr outside any run() body.
 [[nodiscard]] FiberSlot* current_fiber_slot();
 
-/// Worker pool + ready queue + park gates for one virtualized run.  Not
-/// reusable: construct, install waiters, run(), read counters, destroy.
+/// Worker pool + ready queue + park gates for one run.  Not reusable:
+/// construct, install waiters, run(), read counters, destroy.
 class VirtualScheduler {
  public:
-  /// RSMPI_WORKERS: number of OS threads to multiplex ranks onto; 0 or
-  /// unset keeps the legacy thread-per-rank runtime.
-  [[nodiscard]] static int workers_from_env();
-
   /// RSMPI_STACK_BYTES override for per-fiber stacks, else the 256 KiB
   /// default.
   [[nodiscard]] static std::size_t default_stack_bytes();

@@ -24,7 +24,7 @@ std::string SimConfig::describe() const {
 }
 
 /// Each rank's decision stream: its own PRNG plus its send count.  Slots
-/// are only ever touched from the owning rank's thread, so no locks; they
+/// are only ever touched by the owning rank, so no locks; they
 /// are padded apart to keep the simulator from serializing ranks on one
 /// cache line.
 struct alignas(64) ChaosController::PerRank {

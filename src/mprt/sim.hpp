@@ -5,11 +5,11 @@
 // a per-send compute-skew amplitude, and an optional kill point (rank +
 // send count) that terminates a rank mid-collective.  The plan is driven
 // by a counter-based PRNG seeded per rank, so every decision depends only
-// on (seed, rank, that rank's event count) — never on thread scheduling —
+// on (seed, rank, that rank's event count) — never on rank scheduling —
 // and any run is replayable bit-for-bit from its seed.
 //
-// The controller lives on the Runtime and is consulted from each rank's
-// own thread on its send path; the per-rank streams need no locking.
+// The controller lives on the Runtime and is consulted by each rank on
+// its own send path; the per-rank streams need no locking.
 // Statistics are atomics because tests read them after the join.
 #pragma once
 
@@ -67,14 +67,15 @@ struct DeliveryFault {
 /// the chaos layer is replaced by a consulted decision: message faults and
 /// kill points come from message_fault/kill_before_send (keyed by the
 /// sending rank's own event counters, so decisions are independent of
-/// thread scheduling, exactly like the seeded streams they replace), and
+/// rank scheduling, exactly like the seeded streams they replace), and
 /// the instrumented collectives (rs/state_exchange.hpp) branch their
 /// arrival-order choices through choose().  A driver (src/verify) records
 /// the choices of one run, then systematically re-runs with forced
 /// prefixes to enumerate the whole decision tree.
 ///
-/// Implementations are called concurrently from rank threads; each rank's
-/// calls are sequential, so per-rank slots need no locking.
+/// Implementations are called concurrently by ranks on different worker
+/// threads; each rank's calls are sequential, so per-rank slots need no
+/// locking.
 class ScheduleOracle {
  public:
   virtual ~ScheduleOracle() = default;
@@ -147,8 +148,8 @@ struct SimStats {
   bool rank_killed = false;
 };
 
-/// Per-run fault driver.  pre_send/on_message are called from the sending
-/// rank's thread only; each rank owns an independent decision stream.
+/// Per-run fault injector.  pre_send/on_message are called by the sending
+/// rank only; each rank owns an independent decision stream.
 class ChaosController {
  public:
   ChaosController(const SimConfig& config, int num_ranks);
@@ -177,7 +178,7 @@ class ChaosController {
   struct PerRank;
 
   SimConfig config_;
-  PerRank* ranks_;  // one slot per rank, touched only by that rank's thread
+  PerRank* ranks_;  // one slot per rank, touched only by that rank
   int num_ranks_;
 
   std::atomic<std::uint64_t> delivered_{0};

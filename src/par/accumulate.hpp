@@ -37,7 +37,7 @@ inline bool canonical_chunked_from_env() {
 ///
 ///   pre_accum(get(0)); for i in [0, n): accum(get(i)); post_accum(get(n-1));
 ///
-/// had run on the rank thread.  `get(i)` produces element i (by value or
+/// had run on the calling rank.  `get(i)` produces element i (by value or
 /// reference) and must be safe to call concurrently for distinct i; with
 /// the pool active it runs on worker threads.  `prototype` supplies
 /// identity clones for the per-chunk states and is snapshotted before
@@ -76,7 +76,7 @@ void accumulate_indexed(mprt::Comm& comm, Op& op, const Op& prototype,
     return;
   }
   if (pool.threads() <= 1) {
-    // Canonical chunked fold on the rank thread (RSMPI_LOCAL_CHUNKED):
+    // Canonical chunked fold on the calling rank (RSMPI_LOCAL_CHUNKED):
     // identical chunk boundaries, identity clones, and ascending-chunk
     // merge as the pool path below, so the bits match any pool width.
     const Op identity(prototype);
@@ -115,7 +115,7 @@ void accumulate_indexed(mprt::Comm& comm, Op& op, const Op& prototype,
         for (std::size_t i = lo; i < hi; ++i) state.accum(get(i));
       });
   {
-    // The in-order merge and the post hook run on the rank thread and
+    // The in-order merge and the post hook run on the calling rank and
     // are charged as ordinary serial compute.
     auto timer = comm.compute_section();
     partials.merge_into(op);

@@ -1,9 +1,12 @@
 // Lazily-started per-rank worker pool with chunked work stealing.
 //
-// Each rank thread owns (at most) one pool, created on first use and sized
+// Each OS thread owns (at most) one pool, created on first use and sized
 // by RSMPI_LOCAL_THREADS (default 1 — no workers are ever spawned and
 // every parallel section degenerates to an inline loop, keeping the
-// default execution byte-for-byte identical to the pre-pool runtime).
+// default execution byte-for-byte identical to the pre-pool runtime).  A
+// scheduler worker's pool is shared by the ranks it runs, one section at
+// a time: a section never parks, so no other rank runs on that worker
+// until it ends.
 // The pool's unit of work is a *chunk index*: run_chunks(nchunks, body)
 // executes body(worker, c) exactly once for every c in [0, nchunks).
 //
@@ -71,8 +74,8 @@ class WorkerPool {
 
   /// The calling thread's pool.  Re-created (old workers joined) whenever
   /// RSMPI_LOCAL_THREADS changes between sections, so tests and benches
-  /// can sweep pool widths on one thread; rank threads are short-lived
-  /// and typically build exactly one pool.
+  /// can sweep pool widths on one thread; a run's worker threads are
+  /// short-lived and typically build exactly one pool each.
   static WorkerPool& current() {
     thread_local std::unique_ptr<WorkerPool> pool;
     const unsigned want = threads_from_env();

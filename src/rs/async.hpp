@@ -43,8 +43,7 @@ namespace rsmpi::rs {
 /// this rank while it does) and then generates the result; it may be
 /// called once or many times — the result is cached.  The communicator and
 /// the operator state live until the future's last copy is destroyed, but
-/// `get()`/`wait()` must be called before the communicator's rank thread
-/// exits.
+/// `get()`/`wait()` must be called before the communicator's rank exits.
 template <typename T>
 class Future {
  public:
@@ -126,7 +125,7 @@ class StateAllreduceOp final : public coll::nb::Operation {
     bcast_steps_ = mprt::topology::binomial_bcast_schedule(rank, p);
   }
 
-  bool step(coll::nb::StepMode mode) override {
+  bool step() override {
     bool progressed = false;
     const int rank = comm_.rank();
     while (phase_ != Phase::kDone) {
@@ -136,7 +135,8 @@ class StateAllreduceOp final : public coll::nb::Operation {
             // Fold whichever child's state lands first (§1's
             // combine-as-available optimization), then hand up.
             if (children_left_ > 0) {
-              auto msg = coll::nb::detail::nb_recv(comm_, mprt::kAnySource, reduce_tag_, mode);
+              auto msg =
+                  comm_.try_recv_message(mprt::kAnySource, reduce_tag_);
               if (!msg.has_value()) return progressed;
               if (comm_.schedule_oracle() != nullptr) {
                 // Model-checking mode: park the arrival and fold the full
@@ -176,7 +176,7 @@ class StateAllreduceOp final : public coll::nb::Operation {
           if (s.role == mprt::topology::BinomialStep::Role::kSend) {
             send_state(comm_, s.partner, reduce_tag_, state_->op);
           } else {
-            auto msg = coll::nb::detail::nb_recv(comm_, s.partner, reduce_tag_, mode);
+            auto msg = comm_.try_recv_message(s.partner, reduce_tag_);
             if (!msg.has_value()) return progressed;
             combine_received_state(comm_, state_->op, state_->prototype,
                                    std::move(*msg));
@@ -192,7 +192,7 @@ class StateAllreduceOp final : public coll::nb::Operation {
           }
           const auto& s = bcast_steps_[next_];
           if (s.role == mprt::topology::BinomialStep::Role::kRecv) {
-            auto msg = coll::nb::detail::nb_recv(comm_, s.partner, bcast_tag_, mode);
+            auto msg = comm_.try_recv_message(s.partner, bcast_tag_);
             if (!msg.has_value()) return progressed;
             {
               auto timer = comm_.compute_section();
@@ -246,7 +246,7 @@ class StateButterflyAllreduceOp final : public coll::nb::Operation {
         p2_(static_cast<int>(
             std::bit_floor(static_cast<unsigned>(comm.size())))) {}
 
-  bool step(coll::nb::StepMode mode) override {
+  bool step() override {
     bool progressed = false;
     const int p = comm_.size();
     const int rank = comm_.rank();
@@ -262,7 +262,7 @@ class StateButterflyAllreduceOp final : public coll::nb::Operation {
             continue;
           }
           if (rank + p2_ < p) {
-            auto msg = coll::nb::detail::nb_recv(comm_, rank + p2_, tag_, mode);
+            auto msg = comm_.try_recv_message(rank + p2_, tag_);
             if (!msg.has_value()) return progressed;
             combine_received_state(comm_, state_->op, state_->prototype,
                                    std::move(*msg));
@@ -286,7 +286,7 @@ class StateButterflyAllreduceOp final : public coll::nb::Operation {
             sent_ = true;
             progressed = true;
           }
-          auto msg = coll::nb::detail::nb_recv(comm_, partner, tag_, mode);
+          auto msg = comm_.try_recv_message(partner, tag_);
           if (!msg.has_value()) return progressed;
           combine_received_state(comm_, state_->op, state_->prototype,
                                  std::move(*msg));
@@ -296,7 +296,7 @@ class StateButterflyAllreduceOp final : public coll::nb::Operation {
           continue;
         }
         case Phase::kAwaitResult: {
-          auto msg = coll::nb::detail::nb_recv(comm_, rank - p2_, tag_, mode);
+          auto msg = comm_.try_recv_message(rank - p2_, tag_);
           if (!msg.has_value()) return progressed;
           {
             auto timer = comm_.compute_section();
@@ -344,7 +344,7 @@ class StateXscanOp final : public coll::nb::Operation {
         tag_(tag),
         window_(state_->op) {}
 
-  bool step(coll::nb::StepMode mode) override {
+  bool step() override {
     bool progressed = false;
     const int p = comm_.size();
     const int rank = comm_.rank();
@@ -357,7 +357,7 @@ class StateXscanOp final : public coll::nb::Operation {
         progressed = true;
       }
       if (rank - d_ >= 0) {
-        auto msg = coll::nb::detail::nb_recv(comm_, rank - d_, tag_, mode);
+        auto msg = comm_.try_recv_message(rank - d_, tag_);
         if (!msg.has_value()) return progressed;
         deferred_.push_back(std::move(*msg));
         if (rank + 2 * d_ < p) {

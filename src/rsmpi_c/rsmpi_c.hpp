@@ -190,9 +190,8 @@ struct RSMPI_Stats {
   // Two-level topology traffic split (both 0 under a flat cost model).
   std::uint64_t intra_node_bytes = 0;
   std::uint64_t inter_node_bytes = 0;
-  // Rank virtualization (all 0 on the thread-per-rank path): OS workers
-  // the virtual ranks are multiplexed onto, peak simultaneously-parked
-  // ranks, and park transitions so far.  Engine-wide counters snapshotted
+  // Rank virtualization: OS workers the ranks are multiplexed onto, peak
+  // simultaneously-parked ranks, and park transitions so far.  Engine-wide counters snapshotted
   // through this rank, still gathered without communication.
   std::uint64_t workers = 0;
   std::uint64_t parked_ranks = 0;

@@ -59,12 +59,12 @@ class RankKilledError : public Error {
   explicit RankKilledError(const std::string& what) : Error(what) {}
 };
 
-/// Raised under the model-checking tier (mprt/sim.hpp ScheduleOracle) when
-/// the starvation monitor proves that every live rank is blocked with no
-/// deliverable message anywhere — a global deadlock.  Only rank threads can
-/// enqueue messages, so the condition is stable once observed; surfacing it
-/// as a typed error is what turns "no silent hang" from a wall-clock
-/// timeout into a structural check.
+/// Raised when the fiber scheduler (mprt/scheduler.hpp) proves that every
+/// live rank is parked with no deliverable message anywhere — a global
+/// deadlock.  Only ranks can enqueue messages, so the condition is stable
+/// once observed; surfacing it as a typed error is what turns "no silent
+/// hang" from a wall-clock timeout into a structural check, including
+/// under the model-checking tier (mprt/sim.hpp ScheduleOracle).
 class DeadlockError : public Error {
  public:
   explicit DeadlockError(const std::string& what) : Error(what) {}

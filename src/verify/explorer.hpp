@@ -16,8 +16,8 @@
 //      duplicate / reorder; for each send index, under a kill.  Benign
 //      faults (dup, reorder) must complete with the fault-free result;
 //      lossy faults (drop, kill) may instead surface a *typed* error —
-//      silent hangs are impossible because verify-mode runs carry the
-//      starvation monitor, which converts them into DeadlockError.
+//      silent hangs are impossible because the fiber scheduler detects
+//      a global deadlock exactly and converts it into DeadlockError.
 //
 // Branch order: decisions are ordered rank-DESCENDING, step-ascending.
 // In the instrumented collectives children always have higher ranks than

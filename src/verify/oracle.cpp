@@ -31,7 +31,7 @@ int RecordingOracle::choose(int rank, int alternatives) {
     if (chosen < 0 || chosen >= alternatives) {
       // The forced branch no longer exists (the execution tree changed
       // shape, e.g. under a different fault).  Clamp rather than crash the
-      // rank thread; the explorer discards the run via prefix_mismatch().
+      // rank; the explorer discards the run via prefix_mismatch().
       chosen = alternatives - 1;
       prefix_mismatch_.store(true, std::memory_order_relaxed);
     }

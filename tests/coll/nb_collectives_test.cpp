@@ -172,8 +172,10 @@ TEST(Progress, OutOfOrderCompletion) {
   });
 }
 
+// Ranks spin on test_any; a fruitless pass yields, so the spinning ranks
+// never starve the ones they wait for — on one worker or on several.
 TEST(Progress, WaitAllAndTestAny) {
-  mprt::run(6, [](Comm& comm) {
+  const auto body = [](Comm& comm) {
     std::vector<int> a(2, 1);
     std::vector<int> b(2, 2);
     std::array<coll::nb::Request, 3> reqs = {
@@ -191,7 +193,11 @@ TEST(Progress, WaitAllAndTestAny) {
     const int p = comm.size();
     EXPECT_EQ(a, std::vector<int>(2, p));
     EXPECT_EQ(b, std::vector<int>(2, 2 * p));
-  });
+  };
+  for (const int workers : {0, 1}) {  // 0: the default, min(p, nproc)
+    mprt::run(6, body, mprt::CostModel{}, mprt::SimConfig{},
+              mprt::ExecPolicy{workers});
+  }
 }
 
 TEST(Progress, NullRequestIsComplete) {

@@ -1,19 +1,21 @@
 // Unit tests for the per-rank mailbox: matching (including communicator
-// contexts), ordering, and abort.
+// contexts), ordering, blocking and abort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <span>
-#include <thread>
+#include <stdexcept>
 #include <vector>
 
 #include "mprt/mailbox.hpp"
+#include "mprt/runtime.hpp"
 #include "util/error.hpp"
 
 namespace {
 
 using rsmpi::AbortError;
+using rsmpi::mprt::Comm;
 using rsmpi::mprt::kAnySource;
 using rsmpi::mprt::kAnyTag;
 using rsmpi::mprt::Mailbox;
@@ -123,19 +125,47 @@ TEST(Mailbox, ProbeDoesNotConsume) {
   EXPECT_EQ(mb.pending(), 1u);
 }
 
+// A blocking take parks its rank until a put wakes it.  On one worker the
+// taking rank runs first, so its take really blocks before the put.
 TEST(Mailbox, BlockingTakeWokenByPut) {
-  Mailbox mb;
-  std::thread producer([&] { mb.put(make_msg(0, 42)); });
-  const Message m = mb.take(kWorld, 0, 42);
-  producer.join();
-  EXPECT_EQ(m.tag, 42);
+  int tag = -1;
+  rsmpi::mprt::run(
+      2,
+      [&](Comm& comm) {
+        if (comm.rank() == 0) {
+          tag = comm.recv_message(1, 42).tag;
+        } else {
+          comm.send(0, 42, 1);
+        }
+      },
+      rsmpi::mprt::CostModel{}, rsmpi::mprt::SimConfig{},
+      rsmpi::mprt::ExecPolicy{1});
+  EXPECT_EQ(tag, 42);
 }
 
+// A sibling's failure aborts the run, which unblocks the parked take with
+// AbortError; the run rethrows the sibling's own error.
 TEST(Mailbox, AbortUnblocksTake) {
+  bool aborted = false;
+  EXPECT_THROW(rsmpi::mprt::run(
+                   2,
+                   [&](Comm& comm) {
+                     if (comm.rank() == 1) throw std::runtime_error("fails");
+                     try {
+                       (void)comm.recv_message(1, 0);
+                     } catch (const AbortError&) {
+                       aborted = true;
+                     }
+                   },
+                   rsmpi::mprt::CostModel{}, rsmpi::mprt::SimConfig{},
+                   rsmpi::mprt::ExecPolicy{1}),
+               std::runtime_error);
+  EXPECT_TRUE(aborted);
+}
+
+TEST(Mailbox, BlockingTakeWithoutWaiterThrows) {
   Mailbox mb;
-  std::thread aborter([&] { mb.abort(); });
-  EXPECT_THROW(mb.take(kWorld, 0, 0), AbortError);
-  aborter.join();
+  EXPECT_THROW(mb.take(kWorld, 0, 0), rsmpi::Error);
 }
 
 TEST(Mailbox, AbortedTryTakeThrows) {

@@ -1,8 +1,8 @@
 // Regression tests for sequence-number delivery (ISSUE 4, satellite 1):
-// Mailbox::try_take_due (the poll the async progress engine replays on)
-// and blocking take must agree on one delivery order when a fault plan
-// physically reorders or duplicates messages, and each sequence number is
-// delivered at most once.
+// every receive path — blocking take, try_take (the poll the async
+// progress engine runs on) and probe — must agree on one delivery order
+// when a fault plan physically reorders or duplicates messages, and each
+// sequence number is delivered at most once.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -219,55 +219,6 @@ TEST(Sequence, OutOfTagOrderReceiveUnderDuplicatesDeliversEachOnce) {
   EXPECT_EQ(suppressed, static_cast<std::uint64_t>(2 * kRounds));
 }
 
-TEST(Sequence, TryTakeDueHonorsSeqOrderAcrossArrivalTimes) {
-  Mailbox mb;
-  // Fault-plan delay: seq 1 arrives (virtually) *later* than seq 2.
-  mb.put(make_msg(0, 1, 2, /*arrival_s=*/1.0));
-  mb.put(make_msg(0, 1, 1, /*arrival_s=*/5.0));
-
-  // At t=2 only seq 2 is due — but it may not overtake seq 1, so the
-  // stream yields nothing.
-  EXPECT_FALSE(mb.try_take_due(kWorld, 0, 1, 2.0).has_value());
-  // Once the stream head is due, delivery is in seq order.
-  auto first = mb.try_take_due(kWorld, 0, 1, 6.0);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->seq, 1u);
-  auto second = mb.try_take_due(kWorld, 0, 1, 6.0);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->seq, 2u);
-}
-
-TEST(Sequence, TryTakeDueAndBlockingTakeAgree) {
-  // The same reordered+duplicated queue drained two ways must produce the
-  // same sequence of messages.
-  const auto build = [] {
-    auto mb = std::make_unique<Mailbox>();
-    mb->put(make_msg(0, 1, 2, 0.5));
-    mb->put(make_msg(0, 1, 2, 0.7));               // duplicate
-    mb->put(make_msg(0, 1, 1, 0.1), /*front=*/true);
-    mb->put(make_msg(0, 1, 3, 0.2));
-    return mb;
-  };
-
-  std::vector<std::uint64_t> via_take;
-  {
-    auto mb = build();
-    for (int i = 0; i < 3; ++i) {
-      via_take.push_back(mb->take(kWorld, kAnySource, kAnyTag).seq);
-    }
-    EXPECT_EQ(mb->pending(), 0u);
-  }
-  std::vector<std::uint64_t> via_due;
-  {
-    auto mb = build();
-    while (auto m = mb->try_take_due(kWorld, kAnySource, kAnyTag, 10.0)) {
-      via_due.push_back(m->seq);
-    }
-  }
-  EXPECT_EQ(via_take, (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_EQ(via_due, via_take);
-}
-
 TEST(Sequence, LegacyUnsequencedMessagesKeepQueueOrder) {
   // seq 0 marks messages constructed outside Comm::send (older tests,
   // hand-built harnesses): they must keep the historical queue-position
@@ -281,9 +232,9 @@ TEST(Sequence, LegacyUnsequencedMessagesKeepQueueOrder) {
 }
 
 // The end-to-end replay the satellite names: the async progress engine
-// (which drains with try_take_due between compute chunks and a blocking
-// take at the end) under a reorder+duplicate fault plan must match the
-// blocking collective bit for bit.
+// (which polls with try_take between compute chunks and waits at the end)
+// under a reorder+duplicate fault plan must match the blocking collective
+// bit for bit.
 TEST(Sequence, AsyncEngineReplayUnderReorderAndDuplicates) {
   SimConfig sim;
   sim.seed = 77;
@@ -305,9 +256,12 @@ TEST(Sequence, AsyncEngineReplayUnderReorderAndDuplicates) {
         blocking_out[r] = rs::reduce(comm, mine, rs::ops::Counts(8));
         auto fut = rs::reduce_async(comm, mine, rs::ops::Counts(8));
         // Poll between compute chunks, as an overlapping caller would;
-        // this drives the try_take_due path before the final wait.
+        // this drives the try_take path before the final wait.  Each
+        // section closes before its poll, which may yield the rank.
         for (int chunk = 0; chunk < 4; ++chunk) {
-          auto timer = comm.compute_section();
+          {
+            auto timer = comm.compute_section();
+          }
           coll::nb::poll();
         }
         async_out[r] = fut.get();

@@ -116,8 +116,9 @@ TEST(RecvCounters, CountMessagesAndBytes) {
   });
 }
 
+// The spin loop must finish on one worker too: an empty try_recv yields.
 TEST(RecvCounters, TryRecvCountsOnlyOnSuccess) {
-  mprt::run(2, [](Comm& comm) {
+  const auto body = [](Comm& comm) {
     if (comm.rank() == 0) {
       EXPECT_FALSE(comm.try_recv<int>(1, 3).has_value());
       EXPECT_EQ(comm.messages_received(), 0u);
@@ -130,7 +131,11 @@ TEST(RecvCounters, TryRecvCountsOnlyOnSuccess) {
       (void)comm.recv_message(0, 4);
       comm.send(0, 3, 9);
     }
-  });
+  };
+  for (const int workers : {0, 1}) {  // 0: the default, min(p, nproc)
+    mprt::run(2, body, mprt::CostModel{}, mprt::SimConfig{},
+              mprt::ExecPolicy{workers});
+  }
 }
 
 TEST(RecvCounters, ResetClearsBothDirections) {

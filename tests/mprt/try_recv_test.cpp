@@ -14,16 +14,15 @@ TEST(TryRecv, ReturnsNulloptBeforeArrival) {
   mprt::run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       EXPECT_FALSE(comm.try_recv<int>(1, 5).has_value());
-      // Synchronize so the message definitely arrived, then poll.
-      coll::barrier(comm);
+      coll::barrier(comm);  // only now may rank 1 send
       std::optional<int> got;
       while (!got.has_value()) {
         got = comm.try_recv<int>(1, 5);
       }
       EXPECT_EQ(*got, 77);
     } else {
-      comm.send(0, 5, 77);
       coll::barrier(comm);
+      comm.send(0, 5, 77);
     }
   });
 }
@@ -43,27 +42,53 @@ TEST(TryRecv, MatchesPatternOnly) {
   });
 }
 
+// The spin loops below must finish on any number of workers: an empty
+// try_recv or probe yields, so on one worker the spinning rank lets the
+// sender run.
 TEST(TryRecv, AdvancesClockOnlyOnSuccess) {
   mprt::CostModel m = mprt::CostModel::free();
   m.recv_overhead_s = 2.0;
   m.compute_scale = 0.0;
-  mprt::run(
-      2,
-      [](Comm& comm) {
-        if (comm.rank() == 0) {
-          const double before = comm.clock().now();
-          (void)comm.try_recv<int>(1, 1);  // nothing there yet
-          EXPECT_DOUBLE_EQ(comm.clock().now(), before);
-          coll::barrier(comm);
-          std::optional<int> got;
-          while (!got.has_value()) got = comm.try_recv<int>(1, 1);
-          EXPECT_GE(comm.clock().now(), 2.0);  // o_r charged on success
-        } else {
-          comm.send(0, 1, 1);
-          coll::barrier(comm);
-        }
-      },
-      m);
+  for (const int workers : {0, 1}) {  // 0: the default, min(p, nproc)
+    mprt::run(
+        2,
+        [](Comm& comm) {
+          if (comm.rank() == 0) {
+            const double before = comm.clock().now();
+            (void)comm.try_recv<int>(1, 1);  // nothing there yet
+            EXPECT_DOUBLE_EQ(comm.clock().now(), before);
+            coll::barrier(comm);  // only now may rank 1 send
+            std::optional<int> got;
+            while (!got.has_value()) got = comm.try_recv<int>(1, 1);
+            EXPECT_GE(comm.clock().now(), 2.0);  // o_r charged on success
+          } else {
+            coll::barrier(comm);
+            comm.send(0, 1, 1);
+          }
+        },
+        m, mprt::SimConfig{}, mprt::ExecPolicy{workers});
+  }
+}
+
+TEST(TryRecv, ProbeSpinSeesLateSend) {
+  for (const int workers : {0, 1}) {
+    mprt::run(
+        2,
+        [](Comm& comm) {
+          if (comm.rank() == 0) {
+            EXPECT_FALSE(comm.probe(1, 3));
+            comm.send(1, 4, 0);  // only now may rank 1 send
+            while (!comm.probe(1, 3)) {
+            }
+            EXPECT_EQ(comm.messages_received(), 0u);  // probe takes nothing
+            EXPECT_EQ(comm.recv<int>(1, 3), 9);
+          } else {
+            (void)comm.recv_message(0, 4);
+            comm.send(0, 3, 9);
+          }
+        },
+        mprt::CostModel{}, mprt::SimConfig{}, mprt::ExecPolicy{workers});
+  }
 }
 
 TEST(TryRecv, RejectsBadSource) {

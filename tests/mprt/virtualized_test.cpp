@@ -1,20 +1,21 @@
-// Rank virtualization (ISSUE 10): many virtual ranks multiplexed onto a
-// small OS-thread worker pool via fibers.
+// Rank virtualization: many ranks multiplexed onto a small OS-thread
+// worker pool via fibers — the runtime's only executor.
 //
 // The headline acceptance test runs a p=4096 zoo allreduce on 8 workers —
 // three orders of magnitude more ranks than threads — and checks every
 // rank's result against the serial oracle, plus the scheduler counters
 // surfaced through RunResult.  The remaining tests pin down the failure
 // modes unique to virtualization: exact structural deadlock detection
-// (every fiber parked, no timers pending) and the timed-receive path,
-// whose deadline slices must ride the scheduler's timer heap rather than
-// a condition-variable wait.
+// (every fiber parked, no timers pending), compute sections that would
+// span a park, and the timed-receive path, whose deadline slices must
+// ride the scheduler's timer heap.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cfenv>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "mprt/runtime.hpp"
@@ -58,23 +59,6 @@ TEST(Virtualized, P4096CountsAllreduceOnEightWorkers) {
   EXPECT_GT(run.parked_ranks, 0u);
   EXPECT_LE(run.parked_ranks, static_cast<std::uint64_t>(kRanks));
   EXPECT_GT(run.park_events, 0u);
-}
-
-// workers = 0 forces the classic thread-per-rank runtime: the virtualized
-// counters must read zero so dashboards can tell the modes apart.
-TEST(Virtualized, ThreadedModeReportsNoWorkers) {
-  const mprt::ExecPolicy threaded{/*workers=*/0, /*stack_bytes=*/0};
-  const mprt::RunResult run = mprt::run(
-      4,
-      [](Comm& comm) {
-        auto op = verify::accumulated<rs::ops::Counts>(comm.rank());
-        rs::detail::state_allreduce(comm, op,
-                                    verify::make_prototype<rs::ops::Counts>());
-      },
-      mprt::CostModel{}, mprt::SimConfig{}, threaded);
-  EXPECT_EQ(run.workers, 0u);
-  EXPECT_EQ(run.parked_ranks, 0u);
-  EXPECT_EQ(run.park_events, 0u);
 }
 
 // A custom fiber stack size flows through ExecPolicy (the RSMPI_STACK_BYTES
@@ -167,6 +151,33 @@ TEST(Virtualized, FiberSwitchKeepsRoundingModePerFiber) {
         mprt::ExecPolicy{workers, /*stack_bytes=*/0});
     EXPECT_EQ(wrong.load(), 0) << workers << " workers";
     EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  }
+}
+
+// A compute section measures its worker thread's CPU clock; left open
+// across a park or a yield it would be charged every rank the worker runs
+// meanwhile.  The scheduler refuses both with a typed error naming the
+// rank.  (The peer never sends, so the receive must park.)
+TEST(Virtualized, ComputeSectionMayNotSpanParkOrYield) {
+  for (const bool blocking : {true, false}) {
+    try {
+      mprt::run(2, [&](Comm& comm) {
+        if (comm.rank() != 0) return;
+        auto timer = comm.compute_section();
+        if (blocking) {
+          (void)comm.recv_message(1, /*tag=*/7);
+        } else {
+          (void)comm.try_recv_message(1, /*tag=*/7);
+        }
+      });
+      ADD_FAILURE() << "no error (blocking=" << blocking << ")";
+    } catch (const rsmpi::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("rank 0"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(blocking ? "park" : "yield"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

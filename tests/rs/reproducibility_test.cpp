@@ -37,7 +37,7 @@ constexpr std::size_t kExtent = 300;  // per rank; grain 97 -> 4 uneven chunks
 
 /// Scoped environment variable (see segmented_schedule_test.cpp): set on
 /// construction, unset on destruction.  No runs may be in flight while
-/// the value changes — rank threads read the environment during dispatch.
+/// the value changes — ranks read the environment during dispatch.
 class EnvGuard {
  public:
   EnvGuard(const char* name, const char* value) : name_(name) {

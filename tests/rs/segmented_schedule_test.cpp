@@ -56,7 +56,7 @@ SimConfig benign_plan(int p, int variant) {
 }
 
 /// Scoped environment variable: set on construction, unset on destruction
-/// (runs must not be in flight while the value changes — rank threads read
+/// (runs must not be in flight while the value changes — ranks read
 /// the environment during dispatch).
 class EnvGuard {
  public:

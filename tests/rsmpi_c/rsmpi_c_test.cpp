@@ -3,8 +3,11 @@
 // default-communicator convenience, and equivalence with the native
 // operator-class layer.
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <climits>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -179,10 +182,10 @@ TEST(CApi, GetStatsSnapshotsRankCounters) {
   });
 }
 
-// Virtualization and topology counters through the C stats surface
-// (ISSUE 10): a virtualized run on a two-tier model reports its worker
-// pool and the per-tier traffic split; a plain threaded flat run keeps
-// all five new fields at zero.
+// Virtualization and topology counters through the C stats surface: a
+// run on a two-tier model reports its worker pool and the per-tier
+// traffic split; a default flat run reports the automatic pool width,
+// min(p, usable CPUs), and keeps both tier fields at zero.
 TEST(CApi, GetStatsSurfacesVirtualizationAndTiers) {
   mprt::run(8, [](mprt::Comm& comm) {
     std::vector<int> mine = {comm.rank() % 8};
@@ -198,15 +201,18 @@ TEST(CApi, GetStatsSurfacesVirtualizationAndTiers) {
   }, mprt::CostModel::cluster_of_smp(4), mprt::SimConfig{},
   mprt::ExecPolicy{/*workers=*/4, /*stack_bytes=*/0});
 
-  mprt::run(2, [](mprt::Comm& comm) {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  ASSERT_EQ(sched_getaffinity(0, sizeof cpus, &cpus), 0);
+  const std::uint64_t auto_workers =
+      std::min<std::uint64_t>(2, static_cast<std::uint64_t>(CPU_COUNT(&cpus)));
+  mprt::run(2, [auto_workers](mprt::Comm& comm) {
     std::vector<int> mine = {comm.rank() % 8};
     std::vector<long> counts;
     c_api::RSMPI_Reduceall<CCounts>(&counts, mine, comm);
     c_api::RSMPI_Stats stats;
     c_api::RSMPI_GetStats(&stats, comm);
-    EXPECT_EQ(stats.workers, 0u);
-    EXPECT_EQ(stats.parked_ranks, 0u);
-    EXPECT_EQ(stats.park_events, 0u);
+    EXPECT_EQ(stats.workers, auto_workers);
     EXPECT_EQ(stats.intra_node_bytes, 0u);
     EXPECT_EQ(stats.inter_node_bytes, 0u);
   }, mprt::CostModel{}, mprt::SimConfig{},

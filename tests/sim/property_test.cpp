@@ -727,9 +727,9 @@ TEST(SimProperty, EveryRegistryOpIsCovered) {
 
 // -- Rank virtualization (ISSUE 10) ------------------------------------------
 //
-// The virtualized scheduler must be invisible to results: the same
-// collectives produce bit-identical answers whether each rank is an OS
-// thread or a fiber multiplexed onto a small worker pool.
+// The scheduler must be invisible to results: the same collectives
+// produce bit-identical answers however many worker threads the rank
+// fibers are multiplexed onto.
 
 /// Allreduce of registry operator Op at width p under `exec`; returns every
 /// rank's result.  The schedule dispatch is production state_allreduce, so
@@ -749,7 +749,7 @@ std::vector<rs::reduce_result_t<Op>> registry_allreduce(
   return results;
 }
 
-// Widths well past the thread-per-rank comfort zone, including awkward
+// Widths well past the host's core count, including awkward
 // non-powers-of-two, each on a handful of workers and bit-compared against
 // the registry oracle on every rank.
 TEST(SimProperty, VirtualizedWidthsMatchOracle) {
@@ -770,23 +770,24 @@ TEST(SimProperty, VirtualizedWidthsMatchOracle) {
   }
 }
 
-// Threaded-vs-virtualized bit-identity across the whole verify registry
-// (TSQR included) at every overlapping width: the scheduler may reorder
-// wakeups, but every schedule the dispatch picks is deterministic in its
-// combine bracketing, so results must match bit for bit.
-TEST(SimProperty, ThreadedVsVirtualizedBitIdentity) {
-  const mprt::ExecPolicy threaded{/*workers=*/0, /*stack_bytes=*/0};
-  const mprt::ExecPolicy virtualized{/*workers=*/3, /*stack_bytes=*/0};
+// One-worker vs three-worker bit-identity across the whole verify
+// registry (TSQR included) at the same widths: one worker runs the ranks
+// in a fixed order, three interleave them on real threads, but every
+// schedule the dispatch picks is deterministic in its combine bracketing,
+// so results must match bit for bit.
+TEST(SimProperty, WorkerCountBitIdentity) {
+  const mprt::ExecPolicy one{/*workers=*/1, /*stack_bytes=*/0};
+  const mprt::ExecPolicy three{/*workers=*/3, /*stack_bytes=*/0};
   for (const int p : {2, 3, 5, 8, 13, 16}) {
     verify::for_each_zoo_op([&](auto tag, const verify::ZooOpInfo& info) {
       using Op = typename decltype(tag)::type;
-      const auto a = registry_allreduce<Op>(p, threaded);
-      const auto b = registry_allreduce<Op>(p, virtualized);
+      const auto a = registry_allreduce<Op>(p, one);
+      const auto b = registry_allreduce<Op>(p, three);
       for (int r = 0; r < p; ++r) {
         ASSERT_TRUE(a[static_cast<std::size_t>(r)] ==
                     b[static_cast<std::size_t>(r)])
             << info.name << " p=" << p << " rank " << r
-            << ": threaded and virtualized runs disagree";
+            << ": one-worker and three-worker runs disagree";
       }
     });
   }

@@ -18,7 +18,6 @@
 // instead of silently exploding the state space.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
@@ -96,14 +95,9 @@ TEST(Exhaustive, AllScenariosP2) { explore_all(2, /*with_faults=*/false); }
 TEST(Exhaustive, AllScenariosP3) { explore_all(3, /*with_faults=*/false); }
 TEST(Exhaustive, AllScenariosP4) { explore_all(4, /*with_faults=*/false); }
 
-// p = 5 is the nightly tier (RSMPI_VERIFY_P5=1 in CI's scheduled job);
-// the space is larger and the single-core runners keep it off the
-// per-push path.
+// The largest tier, on every push: the scheduler's exact deadlock
+// detector needs no timing window, so even p = 5 takes milliseconds.
 TEST(Exhaustive, AllScenariosP5Nightly) {
-  const char* gate = std::getenv("RSMPI_VERIFY_P5");
-  if (gate == nullptr || std::string(gate) != "1") {
-    GTEST_SKIP() << "set RSMPI_VERIFY_P5=1 to run the p=5 tier";
-  }
   explore_all(5, /*with_faults=*/false);
 }
 
@@ -113,8 +107,8 @@ TEST(Exhaustive, AllScenariosP5Nightly) {
 // Every message of the canonical run is dropped, duplicated, and
 // reordered once; every send is a kill site.  Benign faults must leave
 // the result bit-identical; lossy faults may surface typed errors (the
-// starvation monitor turns would-be hangs into DeadlockError) but must
-// never corrupt a completed rank's result.
+// scheduler's deadlock detector turns would-be hangs into DeadlockError)
+// but must never corrupt a completed rank's result.
 TEST(Exhaustive, FaultPlacementsP2) {
   for (const Scenario& scenario : {
            verify::blocking_scenario<rs::ops::Counts>(

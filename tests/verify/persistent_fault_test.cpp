@@ -5,9 +5,9 @@
 // the serial oracle (in particular the pre-fault epoch), and a faulted
 // epoch surfaces a *typed* error.  The failure mode this hunts is the
 // stale-tag hang: a fault in epoch 2 leaving a rank blocked on epoch-1
-// tags forever.  The starvation monitor converts any such hang into
-// DeadlockError, which the explorer accepts for lossy faults and flags
-// for benign ones.
+// tags forever.  The scheduler's exact deadlock detector converts any
+// such hang into DeadlockError, which the explorer accepts for lossy
+// faults and flags for benign ones.
 #include <gtest/gtest.h>
 
 #include <iostream>
