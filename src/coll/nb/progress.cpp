@@ -1,23 +1,8 @@
 #include "coll/nb/progress.hpp"
 
-#include "mprt/scheduler.hpp"
 #include "util/error.hpp"
 
 namespace rsmpi::coll::nb {
-
-ProgressEngine& ProgressEngine::current() {
-  // The engine lives in the rank's fiber slot: a worker hosts many ranks,
-  // and a fiber may migrate workers between launch and wait.
-  mprt::FiberSlot* slot = mprt::current_fiber_slot();
-  if (slot == nullptr) {
-    throw Error("coll::nb: no rank is active here (nonblocking operations "
-                "are only valid inside a run() body)");
-  }
-  if (!slot->nb_engine) {
-    slot->nb_engine = std::make_shared<ProgressEngine>();
-  }
-  return *static_cast<ProgressEngine*>(slot->nb_engine.get());
-}
 
 namespace {
 
@@ -30,68 +15,118 @@ void set_clock(mprt::VirtualClock& clock, double t) {
 
 }  // namespace
 
-bool ProgressEngine::advance(Slot& slot) {
-  // Swap the rank clock to the operation's last progress point so
-  // arrival-time merges, compute_section charges and outgoing send stamps
-  // land on the operation's timeline; swap back even if the step throws.
-  struct Swap {
-    mprt::VirtualClock& clock;
-    double& op_time;
-    double rank_time;
-    ~Swap() {
-      op_time = clock.now();
-      set_clock(clock, rank_time);
+Operation::Operation(std::uint64_t id, mprt::Comm comm,
+                     std::function<void(mprt::Comm&)> body,
+                     std::unique_ptr<mprt::Fiber> spare,
+                     std::size_t stack_bytes)
+    : id_(id),
+      comm_(std::move(comm)),
+      body_(std::move(body)),
+      vtime_(comm_.clock().now()) {
+  auto run = [this] {
+    try {
+      body_(comm_);
+    } catch (...) {
+      error_ = std::current_exception();
     }
-  } swap{slot.comm->clock(), slot.vtime, slot.comm->clock().now()};
-  set_clock(swap.clock, slot.vtime);
-  return slot.op->step();
+  };
+  if (spare == nullptr) {
+    fiber_ = std::make_unique<mprt::Fiber>(stack_bytes, std::move(run));
+  } else {
+    fiber_ = std::move(spare);
+    fiber_->rearm(std::move(run));
+  }
+}
+
+Operation::~Operation() {
+  if (fiber_ != nullptr && !fiber_->finished()) fiber_->unwind();
+}
+
+bool Operation::step(mprt::FiberSlot& slot) {
+  if (error_) std::rethrow_exception(error_);
+  // Run on the operation's timeline, so arrival-time merges, compute
+  // charges and outgoing send stamps land there; the body catches its own
+  // exceptions, so the rank clock is always restored.
+  mprt::VirtualClock& clock = comm_.clock();
+  const double rank_time = clock.now();
+  const std::uint64_t traffic =
+      comm_.messages_sent() + comm_.messages_received();
+  set_clock(clock, vtime_);
+  slot.op_fiber = fiber_.get();
+  fiber_->resume();
+  slot.op_fiber = nullptr;
+  vtime_ = clock.now();
+  set_clock(clock, rank_time);
+  if (error_) std::rethrow_exception(error_);
+  return fiber_->finished() ||
+         comm_.messages_sent() + comm_.messages_received() != traffic;
+}
+
+ProgressEngine::~ProgressEngine() = default;
+
+ProgressEngine& ProgressEngine::current() {
+  // The engine lives in the rank's fiber slot: a worker hosts many ranks,
+  // and a fiber may migrate workers between launch and wait.
+  mprt::FiberSlot* slot = mprt::current_fiber_slot();
+  if (slot == nullptr) {
+    throw Error("coll::nb: no rank is active here (nonblocking operations "
+                "are only valid inside a run() body)");
+  }
+  if (!slot->nb_engine) {
+    slot->nb_engine = std::make_shared<ProgressEngine>(*slot);
+  }
+  return *static_cast<ProgressEngine*>(slot->nb_engine.get());
 }
 
 Request ProgressEngine::launch(mprt::Comm& comm,
-                               std::unique_ptr<Operation> op, int first_tag,
-                               int tag_count) {
-  Slot slot;
-  slot.op = std::move(op);
-  slot.comm = &comm;
-  slot.vtime = comm.clock().now();
-  // Advance greedily: initial sends are posted here.  A lost peer met now
-  // is left for the wait or test that observes the operation; the loss
-  // stays recorded, so that pass meets it again.
+                               std::function<void(mprt::Comm&)> body) {
+  const mprt::Comm::TagBlock block = comm.reserve_tag_block(kOperationTags);
+  std::unique_ptr<mprt::Fiber> spare;
+  if (!spare_.empty()) {
+    spare = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  auto op = std::make_unique<Operation>(next_id_++, comm.with_tag_block(block),
+                                        std::move(body), std::move(spare),
+                                        slot_.stack_bytes);
+  // The first sends are posted here.  A lost peer met now is left for the
+  // wait or test that observes the operation, which meets it again.
   try {
-    while (!slot.op->done() && advance(slot)) {
-    }
+    op->step(slot_);
   } catch (const PeerLostError&) {
   }
-  slot.id = next_id_++;
-  if (slot.op->done()) {
-    // Whether the pass got this far depends on which messages the other
-    // ranks had already sent, so even now the finish time waits for the
-    // rank to observe the completion; only the table entry is skipped.
-    finished_.push_back({slot.id, &comm, slot.vtime});
-    return Request(this, slot.id);
-  }
-  slot.pending_id = comm.register_pending_op(first_tag, tag_count);
-  slots_.push_back(std::move(slot));
-  return Request(this, slots_.back().id);
+  const Request request(this, op->id());
+  ops_.push_back(std::move(op));
+  // An operation that already completed still waits for the rank to
+  // observe it: whether the pass got this far depends on which messages
+  // the other ranks had already sent.
+  retire_done();
+  return request;
+}
+
+void ProgressEngine::retire_done() {
+  std::erase_if(ops_, [this](std::unique_ptr<Operation>& op) {
+    if (!op->done()) return false;
+    finished_.push_back({op->id(), op->vtime()});
+    spare_.push_back(op->release_fiber());
+    return true;
+  });
 }
 
 bool ProgressEngine::poll() {
+  if (ops_.empty()) return false;
   bool progressed = false;
-  for (auto& slot : slots_) {
-    if (!slot.op->done() && advance(slot)) progressed = true;
+  for (auto& op : ops_) {
+    if (op->step(slot_)) progressed = true;
   }
-  std::erase_if(slots_, [this](Slot& slot) {
-    if (!slot.op->done()) return false;
-    slot.comm->complete_pending_op(slot.pending_id);
-    finished_.push_back({slot.id, slot.comm, slot.vtime});
-    return true;
-  });
+  retire_done();
+  if (!progressed) slot_.comm->yield_rank();
   return progressed;
 }
 
 bool ProgressEngine::is_complete(std::uint64_t id) const {
-  for (const auto& slot : slots_) {
-    if (slot.id == id) return false;
+  for (const auto& op : ops_) {
+    if (op->id() == id) return false;
   }
   return true;
 }
@@ -99,7 +134,7 @@ bool ProgressEngine::is_complete(std::uint64_t id) const {
 void ProgressEngine::observe(std::uint64_t id) {
   for (auto it = finished_.begin(); it != finished_.end(); ++it) {
     if (it->id == id) {
-      it->comm->clock().merge(it->vtime);
+      slot_.comm->clock().merge(it->vtime);
       finished_.erase(it);
       return;
     }
@@ -107,17 +142,12 @@ void ProgressEngine::observe(std::uint64_t id) {
 }
 
 void ProgressEngine::wait(std::uint64_t id) {
-  for (;;) {
-    mprt::Comm* comm = nullptr;
-    for (auto& slot : slots_) {
-      if (slot.id == id) comm = slot.comm;
-    }
-    if (comm == nullptr) break;
+  while (!is_complete(id)) {
     // A pass with no progress means another rank is still working: park
     // until the mailbox sees a new event.  The event count is snapshotted
     // *before* the pass so an arrival mid-pass is never slept through.
-    const std::uint64_t seen = comm->mail_events();
-    if (!poll()) comm->idle_wait(seen);
+    const std::uint64_t seen = slot_.comm->mail_events();
+    if (!poll()) slot_.comm->idle_wait(seen);
   }
   observe(id);
 }

@@ -1,12 +1,14 @@
 // Request handles for nonblocking collectives (MPI-3 shape).
 //
-// A Request names one in-flight operation owned by the rank's
-// ProgressEngine (coll/nb/progress.hpp).  Handles are small and copyable,
-// like MPI_Request: copies refer to the same operation, and a
+// A Request names one in-flight operation — a blocking collective running
+// on an operation coroutine — owned by the rank's ProgressEngine
+// (coll/nb/progress.hpp).  Handles are small and copyable, like
+// MPI_Request: copies refer to the same operation, and a
 // default-constructed handle is the analogue of MPI_REQUEST_NULL — already
 // complete, wait() is a no-op.  An operation that finishes during launch
 // still returns a handle, already done: waiting on it joins its finish
-// time into the rank clock.
+// time into the rank clock.  An operation whose collective threw never
+// completes: test() and wait() rethrow its exception.
 //
 // Progress happens only at launch, inside wait()/test() and at explicit
 // ProgressEngine::poll() calls — there is no progress thread.  All handles

@@ -264,6 +264,8 @@ void Comm::idle_wait(std::uint64_t seen_events) {
   runtime_.mailbox(global_rank_).idle_wait(seen_events);
 }
 
+void Comm::yield_rank() { runtime_.mailbox(global_rank_).yield_owner(); }
+
 void Comm::set_peer_loss_scope(std::optional<std::vector<int>> global_ranks) {
   runtime_.mailbox(global_rank_).set_peer_loss_scope(std::move(global_ranks));
 }

@@ -33,17 +33,6 @@ namespace rsmpi::mprt {
 
 class Runtime;
 
-/// One outstanding nonblocking operation registered with a rank.  The
-/// progress engine (coll/nb) records each in-flight collective here so the
-/// rank's pending work — and the collective-tag window it reserved — is
-/// inspectable by tests and debuggers.
-struct PendingOp {
-  std::uint64_t id = 0;
-  std::int64_t context = 0;  // communicator the operation runs on
-  int first_tag = 0;         // first tag of the reserved window
-  int tag_count = 0;         // number of consecutive tags reserved
-};
-
 /// Bounded-wait policy for blocking receives.  When set on a rank, every
 /// blocking recv waits in `retries` slices whose lengths grow by `backoff`
 /// and sum to `timeout_s`; if no matching message arrives within the
@@ -58,7 +47,7 @@ struct RecvDeadline {
 };
 
 /// Per-rank mutable state shared by every communicator of that rank: the
-/// virtual clock, the traffic counters, and the pending-operation table.
+/// virtual clock, the traffic counters and the payload buffer pool.
 /// Owned by the runtime; only touched by the rank itself.
 struct RankState {
   VirtualClock clock;
@@ -80,8 +69,6 @@ struct RankState {
   std::uint64_t sends_moved = 0;     ///< sends that adopted the caller's buffer
   std::uint64_t sends_inline = 0;    ///< sends stored inline (<= 64 B)
   BufferPool pool;                   ///< recycled payload buffers (rank-local)
-  std::vector<PendingOp> pending_ops;
-  std::uint64_t next_pending_id = 1;
   /// Cost-model schedule selections made on this rank (autotuner argmins).
   /// Persistent collectives pay exactly one at plan time; a warm epoch loop
   /// holding this counter flat is the "zero warm-path planning" evidence.
@@ -378,6 +365,19 @@ class Comm {
   /// sequence again.
   void end_tag_block() { active_block_.reset(); }
 
+  /// A handle on this communicator — same context, group and rank state —
+  /// whose collective-tag reservations all come from `block`, for good.
+  /// A nonblocking operation runs its blocking collective on one: the
+  /// collective may reserve tags mid-flight, after the rank has launched
+  /// other operations, and the block keeps those tags its own.  Do not
+  /// split the handle: its split sequence starts over at zero.
+  [[nodiscard]] Comm with_tag_block(const TagBlock& block) const {
+    Comm handle(runtime_, global_rank_, context_, group_, group_rank_);
+    handle.tag_window_ = tag_window_;
+    handle.active_block_ = block;
+    return handle;
+  }
+
   /// Total collective tags consumed from the global sequence.  Persistent
   /// handles hold this flat across warm epochs (the tag-recycling
   /// regression tests assert exactly that).
@@ -435,39 +435,6 @@ class Comm {
 
   /// Returns a fresh tag for one collective invocation.
   int next_collective_tag() { return reserve_collective_tags(1); }
-
-  // -- Pending nonblocking operations -------------------------------------
-
-  /// Registers an in-flight nonblocking operation (and the tag window it
-  /// reserved) in this rank's pending-operation table; returns its id.
-  /// Called by the progress engine, shared across the rank's communicators.
-  std::uint64_t register_pending_op(int first_tag, int tag_count) {
-    const std::uint64_t id = state_->next_pending_id++;
-    state_->pending_ops.push_back({id, context_, first_tag, tag_count});
-    return id;
-  }
-
-  /// Removes a completed operation from the pending table.
-  void complete_pending_op(std::uint64_t id) {
-    auto& ops = state_->pending_ops;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].id == id) {
-        ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
-      }
-    }
-  }
-
-  /// Number of nonblocking operations currently in flight on this rank
-  /// (across all of its communicators).
-  [[nodiscard]] std::size_t pending_op_count() const {
-    return state_->pending_ops.size();
-  }
-
-  /// The pending-operation table itself, for tests and debugging.
-  [[nodiscard]] const std::vector<PendingOp>& pending_ops() const {
-    return state_->pending_ops;
-  }
 
   // -- Counters (observability; used by tests and benchmarks) -------------
 
@@ -580,6 +547,10 @@ class Comm {
   /// Parks this rank until its mailbox sees an event newer than
   /// `seen_events`.  Throws DeadlockError when no rank can ever send.
   void idle_wait(std::uint64_t seen_events);
+
+  /// Steps this rank aside without parking, as a poll that finds nothing
+  /// does: it stays runnable and resumes after the other ready ranks.
+  void yield_rank();
 
   /// Group membership of this communicator: group rank -> global rank.
   [[nodiscard]] const std::vector<int>& group_global_ranks() const {

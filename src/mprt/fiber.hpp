@@ -17,13 +17,20 @@
 //
 // Fibers migrate freely between worker threads: resume() records the
 // *current* caller's context on every entry, so suspend() always returns
-// to whichever worker is running the fiber right now.  Under the
-// sanitizers every switch is announced to them: under ThreadSanitizer each
-// fiber registers as its own logical thread via the fiber API (otherwise
-// TSAN would see one OS thread's shadow stack teleporting between rank
-// bodies and report phantom races), and under AddressSanitizer each switch
-// names the stack it lands on (otherwise an exception thrown on a fiber
-// stack makes ASan unpoison the wrong stack and report false errors).
+// to whichever worker is running the fiber right now.  The same property
+// lets a fiber resume another: each nonblocking collective (coll/nb) is an
+// operation coroutine, a Fiber its rank's fiber resumes from a progress
+// pass and that suspends back into that pass.  A finished fiber can be
+// re-armed with a new body on the same stack (rearm), and a suspended one
+// can be unwound (unwind) so the objects on its stack are destroyed.
+//
+// Under the sanitizers every switch is announced to them: under
+// ThreadSanitizer each fiber registers as its own logical thread via the
+// fiber API (otherwise TSAN would see one OS thread's shadow stack
+// teleporting between rank bodies and report phantom races), and under
+// AddressSanitizer each switch names the stack it lands on (otherwise an
+// exception thrown on a fiber stack makes ASan unpoison the wrong stack
+// and report false errors).
 #pragma once
 
 #include <sys/mman.h>
@@ -112,35 +119,12 @@ class Fiber {
       ::munmap(base, map_bytes_);
       throw Error("fiber: mprotect of stack failed");
     }
-#ifdef RSMPI_FIBER_ASM_SWITCH
-    // The first switch in pops this frame: r12/r13 carry the entry call,
-    // rbp = 0 ends frame-pointer walks, and the floating-point control
-    // state is the creating thread's (as makecontext would inherit it).
-    // The frame sits 16 bytes below the (page-aligned) top so the entry's
-    // call sees a 16-byte-aligned stack.
-    SwitchFrame frame{};
-    __asm__ volatile("stmxcsr %0\n\tfnstcw %1"
-                     : "=m"(frame.mxcsr), "=m"(frame.x87_cw));
-    frame.r12 = reinterpret_cast<std::uint64_t>(this);
-    frame.r13 = reinterpret_cast<std::uint64_t>(&Fiber::entry);
-    frame.rip = reinterpret_cast<std::uint64_t>(&rsmpi_fiber_entry);
-    std::byte* at = stack_lo_ + stack_bytes_ - 16 - sizeof(SwitchFrame);
-    std::memcpy(at, &frame, sizeof frame);
-    sp_ = at;
-#else
-    if (::getcontext(&ctx_) != 0) {
+    try {
+      seed();
+    } catch (...) {
       ::munmap(base, map_bytes_);
-      throw Error("fiber: getcontext failed");
+      throw;
     }
-    ctx_.uc_stack.ss_sp = stack_lo_;
-    ctx_.uc_stack.ss_size = stack_bytes_;
-    ctx_.uc_link = nullptr;
-    // makecontext only passes ints; smuggle `this` through as two halves.
-    const auto self = reinterpret_cast<std::uintptr_t>(this);
-    ::makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::ucontext_entry),
-                  2, static_cast<unsigned>(self >> 32),
-                  static_cast<unsigned>(self & 0xFFFFFFFFu));
-#endif
 #ifdef RSMPI_TSAN_FIBERS
     tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -154,6 +138,29 @@ class Fiber {
     if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
 #endif
     if (stack_base_ != nullptr) ::munmap(stack_base_, map_bytes_);
+  }
+
+  /// Re-arms a finished fiber to run `body` from the top on the same
+  /// stack, as if newly constructed: the next resume() enters `body`.
+  void rearm(std::function<void()> body) {
+    body_ = std::move(body);
+    finished_ = false;
+    unwinding_ = false;
+    seed();
+#ifdef RSMPI_TSAN_FIBERS
+    __tsan_destroy_fiber(tsan_fiber_);
+    tsan_fiber_ = __tsan_create_fiber(0);
+#endif
+  }
+
+  /// Resumes a suspended fiber only to unwind it: the suspend() it is
+  /// blocked in throws a private type, not derived from std::exception,
+  /// so the objects on its stack are destroyed.  Returns once the fiber
+  /// has finished.  The body must let that exception pass, or catch it
+  /// with `catch (...)` and return.
+  void unwind() {
+    unwinding_ = true;
+    resume();
   }
 
   /// Switches the calling worker into the fiber; returns when the fiber
@@ -198,6 +205,7 @@ class Fiber {
     __sanitizer_finish_switch_fiber(asan_fake_stack_, &return_stack_lo_,
                                     &return_stack_bytes_);
 #endif
+    if (unwinding_) throw Unwind{};
   }
 
   [[nodiscard]] bool finished() const { return finished_; }
@@ -208,9 +216,45 @@ class Fiber {
     __sanitizer_finish_switch_fiber(nullptr, &self->return_stack_lo_,
                                     &self->return_stack_bytes_);
 #endif
-    self->body_();  // rank bodies catch their own exceptions (runtime.cpp)
+    try {
+      self->body_();  // rank bodies catch their own exceptions (runtime.cpp)
+    } catch (const Unwind&) {
+    }
     self->finished_ = true;
     self->suspend();  // never returns: a finished fiber is never resumed
+  }
+
+  /// Thrown by suspend() inside a fiber being unwound.
+  struct Unwind {};
+
+  /// Lays out the first switch into entry() at the top of the stack.
+  void seed() {
+#ifdef RSMPI_FIBER_ASM_SWITCH
+    // The first switch in pops this frame: r12/r13 carry the entry call,
+    // rbp = 0 ends frame-pointer walks, and the floating-point control
+    // state is the seeding thread's (as makecontext would inherit it).
+    // The frame sits 16 bytes below the (page-aligned) top so the entry's
+    // call sees a 16-byte-aligned stack.
+    SwitchFrame frame{};
+    __asm__ volatile("stmxcsr %0\n\tfnstcw %1"
+                     : "=m"(frame.mxcsr), "=m"(frame.x87_cw));
+    frame.r12 = reinterpret_cast<std::uint64_t>(this);
+    frame.r13 = reinterpret_cast<std::uint64_t>(&Fiber::entry);
+    frame.rip = reinterpret_cast<std::uint64_t>(&rsmpi_fiber_entry);
+    std::byte* at = stack_lo_ + stack_bytes_ - 16 - sizeof(SwitchFrame);
+    std::memcpy(at, &frame, sizeof frame);
+    sp_ = at;
+#else
+    if (::getcontext(&ctx_) != 0) throw Error("fiber: getcontext failed");
+    ctx_.uc_stack.ss_sp = stack_lo_;
+    ctx_.uc_stack.ss_size = stack_bytes_;
+    ctx_.uc_link = nullptr;
+    // makecontext only passes ints; smuggle `this` through as two halves.
+    const auto self = reinterpret_cast<std::uintptr_t>(this);
+    ::makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::ucontext_entry),
+                  2, static_cast<unsigned>(self >> 32),
+                  static_cast<unsigned>(self & 0xFFFFFFFFu));
+#endif
   }
 
 #ifdef RSMPI_FIBER_ASM_SWITCH
@@ -249,6 +293,7 @@ class Fiber {
   std::byte* stack_lo_ = nullptr;  // lowest usable stack address
   std::size_t stack_bytes_ = 0;
   bool finished_ = false;
+  bool unwinding_ = false;
 #ifdef RSMPI_TSAN_FIBERS
   void* tsan_fiber_ = nullptr;
   void* return_tsan_ = nullptr;

@@ -158,6 +158,12 @@ class Mailbox {
   /// run's workers start.
   void set_rank_waiter(RankWaiter* waiter) { waiter_ = waiter; }
 
+  /// Yields the owner, as a fruitless poll does.  Called by the owner,
+  /// holding no lock.
+  void yield_owner() const {
+    if (waiter_ != nullptr) waiter_->yield();
+  }
+
  private:
   /// The sequence numbers one channel has delivered, as sorted, disjoint,
   /// non-adjacent closed ranges.  A channel is numbered densely from 1 and
@@ -205,11 +211,6 @@ class Mailbox {
       const char* what);
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  /// Yields the owner after a fruitless poll.  Caller holds no lock.
-  void yield_owner() const {
-    if (waiter_ != nullptr) waiter_->yield();
-  }
 
   mutable std::mutex mutex_;
   std::deque<Message> queue_;

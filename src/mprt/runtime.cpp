@@ -85,9 +85,10 @@ RunResult run(int num_ranks, const std::function<void(Comm&)>& body,
 
   // One rank's body plus its error discipline.
   const auto rank_main = [&](int r) {
+    FiberSlot* slot = current_fiber_slot();
     try {
       Comm& comm = *comms[static_cast<std::size_t>(r)];
-      current_fiber_slot()->comm = &comm;
+      slot->comm = &comm;
       body(comm);
     } catch (const RankKilledError&) {
       // A fault-plan kill is a modelled failure, not a teardown: peers
@@ -99,6 +100,9 @@ RunResult run(int num_ranks, const std::function<void(Comm&)>& body,
       errors[static_cast<std::size_t>(r)] = std::current_exception();
       runtime.abort_all();
     }
+    // Nonblocking operations the body left unfinished unwind here, on the
+    // rank's own fiber, while the run is still whole.
+    slot->nb_engine.reset();
   };
 
   RunResult result;

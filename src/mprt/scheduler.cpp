@@ -40,15 +40,30 @@ struct VirtualScheduler::Impl {
     FiberSlot slot;
   };
 
+  /// The park hook: while a progress pass runs an operation coroutine on
+  /// the rank, a park or yield suspends that coroutine back to the pass,
+  /// which resumes it on a later pass; the rank keeps running.
   class Waiter : public RankWaiter {
    public:
     Impl* impl = nullptr;
     VFiber* f = nullptr;
     void park(std::unique_lock<std::mutex>& lock,
               const Clock::time_point* deadline) override {
+      if (Fiber* op = f->slot.op_fiber) {
+        lock.unlock();
+        op->suspend();
+        lock.lock();
+        return;
+      }
       impl->park(f, lock, deadline);
     }
-    void yield() override { impl->yield(f); }
+    void yield() override {
+      if (Fiber* op = f->slot.op_fiber) {
+        op->suspend();
+        return;
+      }
+      impl->yield(f);
+    }
     void wake() override { impl->wake(f); }
     [[nodiscard]] bool deadlock_declared() const override {
       return impl->deadlocked.load(std::memory_order_acquire);
@@ -268,6 +283,7 @@ VirtualScheduler::VirtualScheduler(int num_ranks, int workers,
     auto f = std::make_unique<Impl::VFiber>();
     f->rank = r;
     f->slot.rank = r;
+    f->slot.stack_bytes = impl_->stack_bytes;
     impl_->waiters[static_cast<std::size_t>(r)].impl = impl_.get();
     impl_->waiters[static_cast<std::size_t>(r)].f = f.get();
     impl_->fibers.push_back(std::move(f));

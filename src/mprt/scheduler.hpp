@@ -34,10 +34,19 @@
 // loops convert it into DeadlockError.  This is also the model checker's
 // liveness check: oracle-driven runs execute on the same scheduler.
 //
+// Operation coroutines.  A nonblocking collective (coll/nb) runs its
+// blocking code on a coroutine of its own, a Fiber that the rank's progress
+// passes resume.  While a pass runs one, the rank's FiberSlot names it, and
+// a park or yield — the blocking code waiting on its mailbox — suspends
+// that coroutine back to the pass instead of suspending the rank.  The
+// blocking collectives need no change to run either way.
+//
 // Compute sections never span a park or a yield: a ComputeTimer charges
 // the CPU clock of the worker thread, which runs other fibers while this
 // one is off it.  Both throw rsmpi::Error when the calling worker has a
-// compute section open (mprt/cost_model.hpp counts them per thread).
+// compute section open (mprt/cost_model.hpp counts them per thread).  A
+// coroutine's suspension does not leave the rank, so it is not checked;
+// the pass's own yield is.
 #pragma once
 
 #include <chrono>
@@ -52,6 +61,7 @@
 namespace rsmpi::mprt {
 
 class Comm;
+class Fiber;
 
 /// A rank's execution context: its world communicator (this_comm) and its
 /// nonblocking progress engine (coll/nb).  It lives with the fiber, not in
@@ -61,6 +71,11 @@ class Comm;
 struct FiberSlot {
   Comm* comm = nullptr;
   std::shared_ptr<void> nb_engine;
+  /// The operation coroutine a progress pass is running right now, or
+  /// nullptr: the park hook suspends it instead of the rank.
+  Fiber* op_fiber = nullptr;
+  /// The run's fiber stack size, which operation coroutines use too.
+  std::size_t stack_bytes = 0;
   int rank = -1;
 };
 

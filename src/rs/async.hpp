@@ -4,21 +4,19 @@
 // (it is local compute, through detail::accumulate_local — so the
 // work-stealing worker pool applies here too when RSMPI_LOCAL_THREADS
 // enables it) and hand the combine phase — the only part that talks to
-// other ranks — to the rank's nonblocking progress engine (coll/nb).  The caller receives a Future and keeps computing; calling
-// coll::nb::poll() between compute chunks lets the combine tree climb
-// while the rank's virtual clock advances through the compute, so the
-// communication cost overlaps and the modelled critical path shrinks.
+// other ranks — to the rank's nonblocking progress engine (coll/nb).  The
+// caller receives a Future and keeps computing; calling coll::nb::poll()
+// between compute chunks lets the combine climb while the rank's virtual
+// clock advances through the compute, so the communication cost overlaps
+// and the modelled critical path shrinks.
 //
-// The state machines here are the nonblocking restatement of
-// rs/state_exchange.hpp: the same binomial / combine-as-available /
-// recursive-doubling schedules over serialized operator states, with every
-// blocking recv_message replaced by a polled nonblocking receive.  Because
-// states travel as tagged messages (not into preallocated buffers),
-// variable-size operator states work exactly as they do in the blocking
-// paths.
+// The combine phase is the blocking code itself — state_allreduce, with
+// its autotuner and RSMPI_SCHEDULE, and state_xscan from
+// rs/state_exchange.hpp — run on an operation coroutine of the progress
+// engine.  The async path therefore sends exactly the messages the
+// blocking one does, and variable-size operator states work the same.
 #pragma once
 
-#include <bit>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -26,11 +24,8 @@
 #include <utility>
 #include <vector>
 
-#include "coll/nb/iallreduce.hpp"
-#include "coll/nb/istate_ring.hpp"
 #include "coll/nb/progress.hpp"
 #include "mprt/comm.hpp"
-#include "mprt/topology.hpp"
 #include "rs/op_concepts.hpp"
 #include "rs/reduce.hpp"
 #include "rs/scan.hpp"
@@ -87,8 +82,9 @@ class Future {
 namespace detail {
 
 /// Shared home for the operator state while the combine is in flight.
-/// Owned jointly by the Operation (in the progress engine) and by the
-/// Future's finalize closure, so it survives whichever is dropped first.
+/// Owned jointly by the operation's body (in the progress engine) and by
+/// the Future's finalize closure, so it survives whichever is dropped
+/// first.
 template <typename Op>
 struct AsyncOpState {
   Op op;
@@ -97,357 +93,17 @@ struct AsyncOpState {
       : op(std::move(op_)), prototype(std::move(prototype_)) {}
 };
 
-/// Nonblocking state_allreduce: reduce serialized operator states to rank
-/// 0 (order-preserving binomial for non-commutative operators,
-/// combine-as-available k-ary tree otherwise), then binomial-broadcast the
-/// finished state.  Combine work is charged through compute_section, as in
-/// the blocking schedules.
-template <Combinable Op>
-class StateAllreduceOp final : public coll::nb::Operation {
- public:
-  StateAllreduceOp(mprt::Comm& comm, std::shared_ptr<AsyncOpState<Op>> state,
-                   bool commutative, int reduce_tag, int bcast_tag)
-      : comm_(comm),
-        state_(std::move(state)),
-        reduce_tag_(reduce_tag),
-        bcast_tag_(bcast_tag),
-        commutative_(commutative) {
-    const int p = comm.size();
-    const int rank = comm.rank();
-    if (commutative_) {
-      for (int c = kUnorderedArity * rank + 1;
-           c <= kUnorderedArity * rank + kUnorderedArity && c < p; ++c) {
-        ++children_left_;
-      }
-    } else {
-      reduce_steps_ = mprt::topology::binomial_reduce_schedule(rank, p);
-    }
-    bcast_steps_ = mprt::topology::binomial_bcast_schedule(rank, p);
-  }
-
-  bool step() override {
-    bool progressed = false;
-    const int rank = comm_.rank();
-    while (phase_ != Phase::kDone) {
-      switch (phase_) {
-        case Phase::kReduce: {
-          if (commutative_) {
-            // Fold whichever child's state lands first (§1's
-            // combine-as-available optimization), then hand up.
-            if (children_left_ > 0) {
-              auto msg =
-                  comm_.try_recv_message(mprt::kAnySource, reduce_tag_);
-              if (!msg.has_value()) return progressed;
-              if (comm_.schedule_oracle() != nullptr) {
-                // Model-checking mode: park the arrival and fold the full
-                // fan-in below in an oracle-dictated order, so the
-                // fold-on-arrival race is enumerated, not raced.
-                pending_.push_back(std::move(*msg));
-              } else {
-                combine_received_state(comm_, state_->op, state_->prototype,
-                                       std::move(*msg));
-              }
-              --children_left_;
-              progressed = true;
-              continue;
-            }
-            if (!pending_.empty()) {
-              oracle_fold_messages(comm_, *comm_.schedule_oracle(),
-                                   state_->op, state_->prototype,
-                                   std::move(pending_));
-              pending_.clear();
-              progressed = true;
-            }
-            if (rank != 0) {
-              send_state(comm_, (rank - 1) / kUnorderedArity, reduce_tag_,
-                         state_->op);
-              progressed = true;
-            }
-            next_ = 0;
-            phase_ = Phase::kBcast;
-            continue;
-          }
-          if (next_ >= reduce_steps_.size()) {
-            next_ = 0;
-            phase_ = Phase::kBcast;
-            continue;
-          }
-          const auto& s = reduce_steps_[next_];
-          if (s.role == mprt::topology::BinomialStep::Role::kSend) {
-            send_state(comm_, s.partner, reduce_tag_, state_->op);
-          } else {
-            auto msg = comm_.try_recv_message(s.partner, reduce_tag_);
-            if (!msg.has_value()) return progressed;
-            combine_received_state(comm_, state_->op, state_->prototype,
-                                   std::move(*msg));
-          }
-          ++next_;
-          progressed = true;
-          continue;
-        }
-        case Phase::kBcast: {
-          if (next_ >= bcast_steps_.size()) {
-            phase_ = Phase::kDone;
-            continue;
-          }
-          const auto& s = bcast_steps_[next_];
-          if (s.role == mprt::topology::BinomialStep::Role::kRecv) {
-            auto msg = comm_.try_recv_message(s.partner, bcast_tag_);
-            if (!msg.has_value()) return progressed;
-            {
-              auto timer = comm_.compute_section();
-              load_op_into(state_->op, msg->payload());
-            }
-            comm_.recycle_buffer(msg->release_storage());
-          } else {
-            send_state(comm_, s.partner, bcast_tag_, state_->op);
-          }
-          ++next_;
-          progressed = true;
-          continue;
-        }
-        case Phase::kDone:
-          break;
-      }
-    }
-    return progressed;
-  }
-
-  [[nodiscard]] bool done() const override { return phase_ == Phase::kDone; }
-
- private:
-  enum class Phase { kReduce, kBcast, kDone };
-
-  mprt::Comm& comm_;
-  std::shared_ptr<AsyncOpState<Op>> state_;
-  int reduce_tag_;
-  int bcast_tag_;
-  bool commutative_;
-  int children_left_ = 0;
-  std::vector<mprt::Message> pending_;  // parked arrivals (oracle mode only)
-  std::vector<mprt::topology::BinomialStep> reduce_steps_;
-  std::vector<mprt::topology::BinomialStep> bcast_steps_;
-  std::size_t next_ = 0;
-  Phase phase_ = Phase::kReduce;
-};
-
-/// Nonblocking recursive-doubling (butterfly) state allreduce — the
-/// state_allreduce_butterfly schedule of rs/state_exchange.hpp as a polled
-/// state machine.  log p rounds, one tag, no root hotspot; commutative
-/// operators only.
-template <Combinable Op>
-class StateButterflyAllreduceOp final : public coll::nb::Operation {
- public:
-  StateButterflyAllreduceOp(mprt::Comm& comm,
-                            std::shared_ptr<AsyncOpState<Op>> state, int tag)
-      : comm_(comm),
-        state_(std::move(state)),
-        tag_(tag),
-        p2_(static_cast<int>(
-            std::bit_floor(static_cast<unsigned>(comm.size())))) {}
-
-  bool step() override {
-    bool progressed = false;
-    const int p = comm_.size();
-    const int rank = comm_.rank();
-    while (phase_ != Phase::kDone) {
-      switch (phase_) {
-        case Phase::kFoldIn: {
-          if (rank >= p2_) {
-            // Outside the butterfly: deposit the local state, then wait
-            // for the finished result.
-            send_state(comm_, rank - p2_, tag_, state_->op);
-            phase_ = Phase::kAwaitResult;
-            progressed = true;
-            continue;
-          }
-          if (rank + p2_ < p) {
-            auto msg = comm_.try_recv_message(rank + p2_, tag_);
-            if (!msg.has_value()) return progressed;
-            combine_received_state(comm_, state_->op, state_->prototype,
-                                   std::move(*msg));
-            progressed = true;
-          }
-          phase_ = Phase::kExchange;
-          continue;
-        }
-        case Phase::kExchange: {
-          if (d_ >= p2_) {
-            if (rank + p2_ < p) {
-              send_state(comm_, rank + p2_, tag_, state_->op);
-              progressed = true;
-            }
-            phase_ = Phase::kDone;
-            continue;
-          }
-          const int partner = rank ^ d_;
-          if (!sent_) {
-            send_state(comm_, partner, tag_, state_->op);
-            sent_ = true;
-            progressed = true;
-          }
-          auto msg = comm_.try_recv_message(partner, tag_);
-          if (!msg.has_value()) return progressed;
-          combine_received_state(comm_, state_->op, state_->prototype,
-                                 std::move(*msg));
-          d_ <<= 1;
-          sent_ = false;
-          progressed = true;
-          continue;
-        }
-        case Phase::kAwaitResult: {
-          auto msg = comm_.try_recv_message(rank - p2_, tag_);
-          if (!msg.has_value()) return progressed;
-          {
-            auto timer = comm_.compute_section();
-            load_op_into(state_->op, msg->payload());
-          }
-          comm_.recycle_buffer(msg->release_storage());
-          phase_ = Phase::kDone;
-          progressed = true;
-          continue;
-        }
-        case Phase::kDone:
-          break;
-      }
-    }
-    return progressed;
-  }
-
-  [[nodiscard]] bool done() const override { return phase_ == Phase::kDone; }
-
- private:
-  enum class Phase { kFoldIn, kExchange, kAwaitResult, kDone };
-
-  mprt::Comm& comm_;
-  std::shared_ptr<AsyncOpState<Op>> state_;
-  int tag_;
-  int p2_;
-  int d_ = 1;
-  bool sent_ = false;
-  Phase phase_ = Phase::kFoldIn;
-};
-
-/// Nonblocking state_xscan: the deferred-prefix recursive-doubling
-/// exclusive scan of rs/state_exchange.hpp as a polled state machine.  On
-/// completion state->op holds the combination of all lower ranks' input
-/// states (identity on rank 0).  Only the forwarded window is combined
-/// inside the doubling loop; parked partials fold into the exclusive
-/// prefix after the last send.
-template <Combinable Op>
-class StateXscanOp final : public coll::nb::Operation {
- public:
-  StateXscanOp(mprt::Comm& comm, std::shared_ptr<AsyncOpState<Op>> state,
-               int tag)
-      : comm_(comm),
-        state_(std::move(state)),
-        tag_(tag),
-        window_(state_->op) {}
-
-  bool step() override {
-    bool progressed = false;
-    const int p = comm_.size();
-    const int rank = comm_.rank();
-    while (d_ < p) {
-      if (!sent_) {
-        if (rank + d_ < p) {
-          send_state(comm_, rank + d_, tag_, window_);
-        }
-        sent_ = true;
-        progressed = true;
-      }
-      if (rank - d_ >= 0) {
-        auto msg = comm_.try_recv_message(rank - d_, tag_);
-        if (!msg.has_value()) return progressed;
-        deferred_.push_back(std::move(*msg));
-        if (rank + 2 * d_ < p) {
-          // Window still feeds a later send: one combine on the critical
-          // path, window = received (+) window.
-          Op received = load_op(state_->prototype, deferred_.back().payload());
-          auto timer = comm_.compute_section();
-          received.combine(window_);
-          window_ = std::move(received);
-        }
-      }
-      d_ <<= 1;
-      sent_ = false;
-      progressed = true;
-    }
-    if (!finished_) {
-      Op excl = state_->prototype;
-      for (auto& msg : deferred_) {
-        Op received = load_op(state_->prototype, msg.payload());
-        comm_.recycle_buffer(msg.release_storage());
-        auto timer = comm_.compute_section();
-        received.combine(excl);
-        excl = std::move(received);
-      }
-      deferred_.clear();
-      state_->op = std::move(excl);
-      finished_ = true;
-      progressed = true;
-    }
-    return progressed;
-  }
-
-  [[nodiscard]] bool done() const override { return finished_; }
-
- private:
-  mprt::Comm& comm_;
-  std::shared_ptr<AsyncOpState<Op>> state_;
-  int tag_;
-  Op window_;  // combination of [max(0, rank-2d+1), rank]
-  std::vector<mprt::Message> deferred_;  // step-d messages, ascending d
-  int d_ = 1;
-  bool sent_ = false;
-  bool finished_ = false;
-};
-
-/// Launches the nonblocking state allreduce for an already-accumulated
-/// operator state; shared by reduce_async and the C bindings.  Commutative
-/// operators get a single-tag schedule — the bandwidth-optimal ring when
-/// the state is partitionable and RSMPI_SCHEDULE forces it or the cost
-/// model prefers it over the butterfly (the only two shapes the progress
-/// engine offers), the whole-state butterfly otherwise.  Non-commutative
-/// operators take the order-preserving binomial reduce + bcast (two tags).
+/// Launches state_allreduce, autotuner included, for an already-
+/// accumulated operator state on the rank's progress engine.
 template <Combinable Op>
 coll::nb::Request launch_state_allreduce(
     mprt::Comm& comm, std::shared_ptr<AsyncOpState<Op>> state,
     bool commutative) {
   if (comm.size() == 1) return coll::nb::Request{};
-  if (commutative) {
-    const int tag = comm.reserve_collective_tags(1);
-    if constexpr (PartitionableState<Op>) {
-      const Schedule forced = schedule_from_env();
-      using SC = mprt::ScheduleCost;
-      const bool use_ring =
-          forced == Schedule::kRing ||
-          (forced == Schedule::kAuto &&
-           SC::ring(comm.cost_model(), comm.size(),
-                    part_state_bytes(state->op)) <
-               SC::butterfly(comm.cost_model(), comm.size(),
-                             part_state_bytes(state->op)));
-      if (use_ring) {
-        return coll::nb::ProgressEngine::current().launch(
-            comm,
-            std::make_unique<coll::nb::IStateRingAllreduceOp<AsyncOpState<Op>>>(
-                comm, std::move(state), tag),
-            tag, 1);
-      }
-    }
-    return coll::nb::ProgressEngine::current().launch(
-        comm,
-        std::make_unique<StateButterflyAllreduceOp<Op>>(comm, std::move(state),
-                                                        tag),
-        tag, 1);
-  }
-  const int tag = comm.reserve_collective_tags(2);
   return coll::nb::ProgressEngine::current().launch(
-      comm,
-      std::make_unique<StateAllreduceOp<Op>>(comm, std::move(state),
-                                             /*commutative=*/false, tag,
-                                             tag + 1),
-      tag, 2);
+      comm, [state, commutative](mprt::Comm& c) {
+        state_allreduce(c, state->op, state->prototype, commutative);
+      });
 }
 
 }  // namespace detail
@@ -496,10 +152,10 @@ scan_async(mprt::Comm& comm, R&& local, Op op,
 
   coll::nb::Request request;
   if (comm.size() > 1) {
-    const int tag = comm.reserve_collective_tags(1);
     request = coll::nb::ProgressEngine::current().launch(
-        comm, std::make_unique<detail::StateXscanOp<Op>>(comm, state, tag),
-        tag, 1);
+        comm, [state](mprt::Comm& c) {
+          detail::state_xscan(c, state->op, state->prototype);
+        });
   } else {
     state->op = prototype;  // exclusive prefix of rank 0 is the identity
   }

@@ -493,41 +493,6 @@ void state_allreduce(mprt::Comm& comm, Op& op, const Op& prototype,
                                 /*commutative=*/true);
 }
 
-/// Legacy recursive-doubling exclusive scan: maintains the inclusive
-/// window *and* the exclusive prefix eagerly, paying two combines per
-/// doubling step on the critical path.  Kept as the baseline the deferred
-/// formulation below is tested and benchmarked against.
-template <Combinable Op>
-void state_xscan_eager(mprt::Comm& comm, Op& op, const Op& prototype) {
-  const int p = comm.size();
-  const int rank = comm.rank();
-  if (p == 1) {
-    op = prototype;
-    return;
-  }
-  const int tag = comm.next_collective_tag();
-
-  Op incl = op;          // combination of [max(0, rank-2d+1), rank]
-  Op excl = prototype;   // combination of [max(0, rank-2d+1), rank-1]
-  for (int d = 1; d < p; d <<= 1) {
-    if (rank + d < p) {
-      send_state(comm, rank + d, tag, incl);
-    }
-    if (rank - d >= 0) {
-      auto msg = comm.recv_message(rank - d, tag);
-      Op received = load_op(prototype, msg.payload());
-      comm.recycle_buffer(msg.release_storage());
-      auto timer = comm.compute_section();
-      Op tmp = received;
-      tmp.combine(incl);
-      incl = std::move(tmp);
-      received.combine(excl);
-      excl = std::move(received);
-    }
-  }
-  op = std::move(excl);
-}
-
 /// Round- and computation-efficient exclusive scan of operator states: on
 /// return `op` holds the combination of all lower ranks' input states
 /// (identity, i.e. a copy of `prototype`, on rank 0).  Valid for
@@ -539,10 +504,12 @@ void state_xscan_eager(mprt::Comm& comm, Op& op, const Op& prototype) {
 /// doubling step, and none at all once the rank has made its last send
 /// (rank + 2d >= p).  Received partials are parked unparsed and folded
 /// into the exclusive prefix after the last send, off the chain of
-/// combines downstream ranks are waiting on.  The fold replays the eager
-/// variant's bracketing exactly, so results are bit-identical to
-/// state_xscan_eager for every operator, including non-commutative and
-/// floating-point ones.
+/// combines downstream ranks are waiting on.  The fold replays the
+/// bracketing of the eager formulation — which keeps the window and the
+/// exclusive prefix up to date at every step, two combines per step on
+/// the critical path — exactly, so results are bit-identical to it for
+/// every operator, including non-commutative and floating-point ones
+/// (tests/rs/xscan_baseline.hpp holds it as the baseline).
 template <Combinable Op>
 void state_xscan(mprt::Comm& comm, Op& op, const Op& prototype) {
   const int p = comm.size();

@@ -4,7 +4,7 @@
 // enumerate the same list.  Scenario builders cover the five autotuned
 // schedules (blocking path), the direct pipelined panel path for
 // partitionable operators, the planted mutation, the nonblocking paths
-// (the commutative combine-as-available tree driven directly, plus
+// (the commutative two-message allreduce through the progress engine, plus
 // reduce_async), and the persistent-plan replay from src/svc — each
 // scenario a self-checking Runner comparing every completed rank's result
 // against the registry's oracle (serial fold for exact operators, the
@@ -145,10 +145,10 @@ Scenario mutation_scenario(const std::string& op_name, int p) {
   return s;
 }
 
-/// Nonblocking combine-as-available tree, driven directly (the production
-/// dispatch only hands commutative operators to the butterfly/ring, so the
-/// fold-on-arrival branch is exercised here by explicit construction).
-/// Only valid for commutative operators.
+/// The commutative two-message allreduce — its fold-on-arrival tree is
+/// state_reduce_unordered — run through the nonblocking progress engine
+/// (the autotuner rarely picks it, so it is named here explicitly).  Only
+/// valid for commutative operators.
 template <typename Op>
 Scenario nb_tree_scenario(const std::string& op_name, int p) {
   static_assert(rs::op_commutative<Op>(),
@@ -158,22 +158,21 @@ Scenario nb_tree_scenario(const std::string& op_name, int p) {
   s.num_ranks = p;
   s.runner = detail::make_runner<Op>(p, [](mprt::Comm& comm) {
     const Op prototype = make_prototype<Op>();
-    auto state = std::make_shared<rs::detail::AsyncOpState<Op>>(
-        accumulated<Op>(comm.rank()), prototype);
-    const int tag = comm.reserve_collective_tags(2);
+    Op op = accumulated<Op>(comm.rank());
     auto request = coll::nb::ProgressEngine::current().launch(
-        comm,
-        std::make_unique<rs::detail::StateAllreduceOp<Op>>(
-            comm, state, /*commutative=*/true, tag, tag + 1),
-        tag, 2);
+        comm, [&](mprt::Comm& c) {
+          rs::detail::state_allreduce_with_schedule(
+              c, op, prototype, rs::detail::Schedule::kTwoMessage,
+              kCheckerSegmentBytes, /*commutative=*/true);
+        });
     request.wait();
-    return rs::red_result(state->op);
+    return rs::red_result(op);
   });
   return s;
 }
 
-/// The production async path: rs::reduce_async (butterfly or binomial by
-/// the operator's own commutativity trait).
+/// The production async path: rs::reduce_async (state_allreduce's own
+/// pick on the progress engine).
 template <typename Op>
 Scenario async_scenario(const std::string& op_name, int p) {
   Scenario s;
@@ -292,9 +291,9 @@ class ScenarioSet {
 /// schedules its traits admit (all five for partitionable or
 /// noncommutative operators — noncommutative ones route every name to the
 /// order-preserving path — two for the rest), the commutative ones the
-/// nonblocking combine-as-available tree, the partitionable ones the
-/// direct pipelined panel path, plus the async and persistent tiers per
-/// the registry flags.  The planted mutation is NOT in the standard set —
+/// two-message allreduce through the progress engine, the partitionable
+/// ones the direct pipelined panel path, plus the async and persistent
+/// tiers per the registry flags.  The planted mutation is NOT in the standard set —
 /// mutation_scenario builds it for the detection test only.
 inline ScenarioSet standard_scenarios(int p) {
   using S = rs::detail::Schedule;

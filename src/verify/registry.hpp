@@ -17,10 +17,10 @@
 //     under *every* schedule;
 //   * TSQR (floating-point, bit-level nonassociative): every ordered path
 //     in the runtime — blocking reduce+bcast, the pipelined binomial
-//     tree, the async noncommutative state machine, the persistent-plan
-//     replay — folds states along mprt::topology's binomial reduce
-//     schedule, so binomial_reduce_oracle replicates that bracketing
-//     locally and is the bit-exact expectation for all of them.
+//     tree, either of them run by reduce_async on the progress engine,
+//     the persistent-plan replay — folds states along mprt::topology's
+//     binomial reduce schedule, so binomial_reduce_oracle replicates that
+//     bracketing locally and is the bit-exact expectation for all of them.
 #pragma once
 
 #include <algorithm>

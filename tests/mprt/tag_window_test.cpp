@@ -1,5 +1,5 @@
-// Tests for the collective tag window, the receive-side counters, and the
-// pending-operation table on Comm.
+// Tests for the collective tag window and the receive-side counters on
+// Comm.
 #include <gtest/gtest.h>
 
 #include <climits>
@@ -149,22 +149,6 @@ TEST(RecvCounters, ResetClearsBothDirections) {
     EXPECT_EQ(comm.messages_sent(), 0u);
     EXPECT_EQ(comm.messages_received(), 0u);
     EXPECT_EQ(comm.bytes_received(), 0u);
-  });
-}
-
-TEST(PendingOps, RegisterAndCompleteRoundTrip) {
-  mprt::run(1, [](Comm& comm) {
-    EXPECT_EQ(comm.pending_op_count(), 0u);
-    const auto a = comm.register_pending_op(100, 2);
-    const auto b = comm.register_pending_op(200, 1);
-    EXPECT_EQ(comm.pending_op_count(), 2u);
-    EXPECT_EQ(comm.pending_ops()[0].first_tag, 100);
-    EXPECT_EQ(comm.pending_ops()[0].tag_count, 2);
-    comm.complete_pending_op(a);
-    EXPECT_EQ(comm.pending_op_count(), 1u);
-    EXPECT_EQ(comm.pending_ops()[0].first_tag, 200);
-    comm.complete_pending_op(b);
-    EXPECT_EQ(comm.pending_op_count(), 0u);
   });
 }
 

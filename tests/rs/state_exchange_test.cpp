@@ -17,6 +17,7 @@
 #include "rs/op_concepts.hpp"
 #include "rs/ops/ops.hpp"
 #include "rs/state_exchange.hpp"
+#include "tests/rs/xscan_baseline.hpp"
 
 namespace {
 
@@ -28,7 +29,7 @@ using rs::detail::state_allreduce;
 using rs::detail::state_allreduce_butterfly;
 using rs::detail::state_allreduce_reduce_bcast;
 using rs::detail::state_xscan;
-using rs::detail::state_xscan_eager;
+using test::state_xscan_eager;
 
 // Rank counts exercised by the equivalence sweeps: powers of two (pure
 // butterfly), non-powers (the Rabenseifner fold-in/fold-out), and the

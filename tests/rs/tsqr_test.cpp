@@ -6,9 +6,9 @@
 //     streamed-session demux and its out-of-order rejection;
 //   * bitwise schedule sweep — every blocking schedule name, the auto
 //     dispatch, the pipelined binomial tree at several segment sizes, and
-//     the async state machine all reproduce verify::binomial_fold's
-//     bracketing exactly, at p in {2..16}, fault-free and under benign
-//     fault plans;
+//     reduce_async on the progress engine all reproduce
+//     verify::binomial_fold's bracketing exactly, at p in {2..16},
+//     fault-free and under benign fault plans;
 //   * numerical oracle — the reduced R agrees with a serial Householder
 //     factorization: ||QtQ - I||inf and ||A - QR||/||A|| within
 //     100 * eps * cols for every benched shape (the micro_tsqr gate);

@@ -6,6 +6,7 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <array>
 #include <climits>
 #include <cstdint>
 #include <numeric>
@@ -231,6 +232,33 @@ TEST(CApi, GetStatsDefaultsToThisComm) {
     EXPECT_EQ(stats.collective_tags_consumed,
               comm.collective_tags_consumed());
   });
+}
+
+// A nonblocking operation's receives are ordinary blocking receives on
+// its coroutine, so the rank's RecvDeadline applies to them: with every
+// message dropped, ranks spinning on RSMPI_Test see the request complete
+// with RSMPI_ERR_TIMEOUT instead of spinning forever.
+TEST(CApi, TestReportsTimeoutUnderRecvDeadline) {
+  mprt::SimConfig sim;
+  sim.seed = 3;
+  sim.drop_prob = 1.0;  // nothing ever arrives
+  std::array<int, 2> status = {-1, -1};
+  mprt::run(
+      2,
+      [&](mprt::Comm& comm) {
+        comm.set_recv_deadline(mprt::RecvDeadline{0.05, 2, 2.0});
+        std::vector<int> mine = {comm.rank() % 8};
+        std::vector<long> counts;
+        auto req = c_api::RSMPI_Ireduceall<CCounts>(&counts, mine, comm);
+        int code = -1;
+        while (c_api::RSMPI_Test(&req, &code) == 0) {
+        }
+        EXPECT_FALSE(req.valid());
+        status[static_cast<std::size_t>(comm.rank())] = code;
+      },
+      mprt::CostModel{}, sim);
+  EXPECT_EQ(status[0], c_api::RSMPI_ERR_TIMEOUT);
+  EXPECT_EQ(status[1], c_api::RSMPI_ERR_TIMEOUT);
 }
 
 TEST(CApi, AdapterTraits) {

@@ -45,6 +45,7 @@
 #include "rs/scan.hpp"
 #include "rs/serial.hpp"
 #include "rs/state_exchange.hpp"
+#include "tests/rs/xscan_baseline.hpp"
 #include "util/error.hpp"
 #include "verify/registry.hpp"
 
@@ -268,7 +269,7 @@ std::string check_case(const Case& c, const Op& prototype, MapFn map) {
               red[r] = rs::red_result(deferred);
               Op eager = prototype;
               for (const In& x : local[r]) eager.accum(x);
-              rs::detail::state_xscan_eager(comm, eager, prototype);
+              test::state_xscan_eager(comm, eager, prototype);
               if (!(rs::red_result(eager) == red[r])) {
                 eager_mismatch[r] = 1;
               }
@@ -383,13 +384,9 @@ std::string check_case_tsqr(const Case& c) {
             case kReduceAsync: {
               auto state = std::make_shared<rs::detail::AsyncOpState<ops::TSQR>>(
                   states[r], prototype);
-              const int tag = comm.reserve_collective_tags(2);
-              auto request = coll::nb::ProgressEngine::current().launch(
-                  comm,
-                  std::make_unique<rs::detail::StateAllreduceOp<ops::TSQR>>(
-                      comm, state, /*commutative=*/false, tag, tag + 1),
-                  tag, 2);
-              request.wait();
+              rs::detail::launch_state_allreduce(comm, state,
+                                                 /*commutative=*/false)
+                  .wait();
               op = state->op;
               break;
             }
