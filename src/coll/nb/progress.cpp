@@ -43,7 +43,6 @@ Operation::~Operation() {
 }
 
 bool Operation::step(mprt::FiberSlot& slot) {
-  if (error_) std::rethrow_exception(error_);
   // Run on the operation's timeline, so arrival-time merges, compute
   // charges and outgoing send stamps land there; the body catches its own
   // exceptions, so the rank clock is always restored.
@@ -57,7 +56,6 @@ bool Operation::step(mprt::FiberSlot& slot) {
   slot.op_fiber = nullptr;
   vtime_ = clock.now();
   set_clock(clock, rank_time);
-  if (error_) std::rethrow_exception(error_);
   return fiber_->finished() ||
          comm_.messages_sent() + comm_.messages_received() != traffic;
 }
@@ -90,10 +88,14 @@ Request ProgressEngine::launch(mprt::Comm& comm,
                                         std::move(body), std::move(spare),
                                         slot_.stack_bytes);
   // The first sends are posted here.  A lost peer met now is left for the
-  // wait or test that observes the operation, which meets it again.
-  try {
-    op->step(slot_);
-  } catch (const PeerLostError&) {
+  // wait or test that observes the operation; any other failure is the
+  // caller's at once.
+  op->step(slot_);
+  if (const std::exception_ptr error = op->error()) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const PeerLostError&) {
+    }
   }
   const Request request(this, op->id());
   ops_.push_back(std::move(op));
@@ -107,7 +109,7 @@ Request ProgressEngine::launch(mprt::Comm& comm,
 void ProgressEngine::retire_done() {
   std::erase_if(ops_, [this](std::unique_ptr<Operation>& op) {
     if (!op->done()) return false;
-    finished_.push_back({op->id(), op->vtime()});
+    finished_.push_back({op->id(), op->vtime(), op->error()});
     spare_.push_back(op->release_fiber());
     return true;
   });
@@ -135,6 +137,8 @@ void ProgressEngine::observe(std::uint64_t id) {
   for (auto it = finished_.begin(); it != finished_.end(); ++it) {
     if (it->id == id) {
       slot_.comm->clock().merge(it->vtime);
+      // A failure stays with its request, so every observation rethrows.
+      if (it->error) std::rethrow_exception(it->error);
       finished_.erase(it);
       return;
     }

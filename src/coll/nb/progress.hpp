@@ -32,12 +32,14 @@
 // how the host scheduled the ranks.  (A wildcard receive still folds
 // whichever match is queued first, as its blocking counterpart does.)
 //
-// Errors: an exception that escapes the body is stored, and every later
-// pass that steps the operation rethrows it; the operation never
-// completes.  Launch rethrows it too, except a PeerLostError, which is
-// left for the wait or test that observes the operation.  A receive
-// deadline (Comm::set_recv_deadline) therefore surfaces from the test or
-// wait that steps the operation past it.
+// Errors: an exception that escapes the body finishes the operation, which
+// is retired with it like a completed one, so the rank's other operations
+// keep progressing.  The error stays with its request: every wait, test or
+// test_any that observes that request rethrows it (the engine keeps the
+// record of a failed operation for the rank's lifetime).  Launch rethrows
+// at once anything but a PeerLostError, which is left for the request's
+// observers.  A receive deadline (Comm::set_recv_deadline) therefore
+// surfaces from the wait or test of the operation it expired in.
 //
 // The engine lives in the rank's fiber slot, reachable via
 // ProgressEngine::current().  Bodies hold references to user buffers,
@@ -79,12 +81,14 @@ class Operation {
   Operation& operator=(const Operation&) = delete;
 
   /// Resumes the coroutine on the operation's own timeline until it waits
-  /// or finishes; rethrows the body's exception.  True if the coroutine
-  /// sent or received a message or finished.
+  /// or finishes.  True if the coroutine sent or received a message or
+  /// finished.
   bool step(mprt::FiberSlot& slot);
 
-  /// True once the body has returned normally.
-  [[nodiscard]] bool done() const { return fiber_->finished() && !error_; }
+  /// True once the body has returned or thrown.
+  [[nodiscard]] bool done() const { return fiber_->finished(); }
+  /// What the body threw, or null.
+  [[nodiscard]] std::exception_ptr error() const { return error_; }
 
   /// Hands the finished coroutine's stack back for re-arming.
   std::unique_ptr<mprt::Fiber> release_fiber() { return std::move(fiber_); }
@@ -119,10 +123,10 @@ class ProgressEngine {
   Request launch(mprt::Comm& comm, std::function<void(mprt::Comm&)> body);
 
   /// Steps every pending operation once, each on its own timeline, and
-  /// retires the completed ones; the rank clock does not move until the
-  /// rank observes a completion.  Returns true if any operation made
-  /// progress.  Call this from compute loops to overlap communication
-  /// with computation.
+  /// retires the finished ones, failed or not; the rank clock does not
+  /// move until the rank observes a completion.  Returns true if any
+  /// operation made progress.  Call this from compute loops to overlap
+  /// communication with computation.
   bool poll();
 
   /// Number of operations still in flight on this engine.
@@ -132,18 +136,21 @@ class ProgressEngine {
   friend class Request;
   friend int test_any(std::span<Request> requests);
 
-  /// A retired operation whose completion the rank has not observed yet.
+  /// A retired operation whose completion the rank has not observed yet,
+  /// or one that failed (kept, so every observation rethrows).
   struct Finished {
     std::uint64_t id = 0;
     double vtime = 0.0;  ///< finish time on the operation's timeline
+    std::exception_ptr error;  ///< what the body threw, or null
   };
 
-  /// Moves completed operations to finished_ and their stacks to spare_.
+  /// Moves finished operations to finished_ and their stacks to spare_.
   void retire_done();
 
   [[nodiscard]] bool is_complete(std::uint64_t id) const;
   /// Joins a completed operation's finish time into the rank clock (the
-  /// first observation does; later ones find nothing left to join).
+  /// first observation does; later ones find nothing left to join), or
+  /// rethrows its error, on every observation.
   void observe(std::uint64_t id);
   void wait(std::uint64_t id);
 

@@ -7,8 +7,9 @@
 // default-constructed handle is the analogue of MPI_REQUEST_NULL — already
 // complete, wait() is a no-op.  An operation that finishes during launch
 // still returns a handle, already done: waiting on it joins its finish
-// time into the rank clock.  An operation whose collective threw never
-// completes: test() and wait() rethrow its exception.
+// time into the rank clock.  An operation whose collective threw completes
+// with that error, and the rank's other operations are not affected: every
+// wait(), test() or test_any() that observes it rethrows the exception.
 //
 // Progress happens only at launch, inside wait()/test() and at explicit
 // ProgressEngine::poll() calls — there is no progress thread.  All handles
@@ -62,7 +63,9 @@ void wait_all(std::span<Request> requests);
 
 /// One progress pass, then returns the index of some completed request
 /// (observing its completion, as test does), or -1 if none is complete yet
-/// (MPI_Testany).  Null requests count as complete.
+/// (MPI_Testany).  Null requests count as complete.  Rethrows the error of
+/// a failed request it meets first; it does so again on every call until
+/// the caller drops that request (test() each one to find it).
 int test_any(std::span<Request> requests);
 
 }  // namespace rsmpi::coll::nb

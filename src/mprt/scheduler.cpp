@@ -198,7 +198,10 @@ struct VirtualScheduler::Impl {
         if (timers.empty()) {
           cv.wait(lock);
         } else {
-          cv.wait_until(lock, timers.front().due);
+          // wait_until reads its deadline again after waking, when another
+          // worker may have reallocated `timers`: wait on a copy.
+          const Clock::time_point due = timers.front().due;
+          cv.wait_until(lock, due);
         }
         continue;
       }

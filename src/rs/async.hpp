@@ -36,7 +36,8 @@ namespace rsmpi::rs {
 /// Handle to an asynchronous reduction or scan result.  `get()` waits for
 /// the in-flight combine (making progress on every pending operation of
 /// this rank while it does) and then generates the result; it may be
-/// called once or many times — the result is cached.  The communicator and
+/// called once or many times — the result is cached, and a failed combine
+/// rethrows its error on every call.  The communicator and
 /// the operator state live until the future's last copy is destroyed, but
 /// `get()`/`wait()` must be called before the communicator's rank exits.
 template <typename T>

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -258,6 +259,41 @@ TEST(Subcomm, PendingTableTracksInFlightOps) {
     }
     req.wait();
     EXPECT_EQ(coll::nb::ProgressEngine::current().in_flight(), 0u);
+  });
+}
+
+// A failed operation belongs to its request.  Rank 1 never takes part in
+// rank 0's iallreduce A, so A times out under rank 0's receive deadline;
+// the TimeoutError surfaces from A's test and wait alone, every time, and
+// the next iallreduce B completes on both ranks.
+TEST(Progress, FailedOperationDoesNotPoisonItsRank) {
+  constexpr int kGoTag = 7;
+  mprt::run(2, [](Comm& comm) {
+    std::vector<int> b(1, comm.rank() + 1);
+    coll::nb::Request rb;
+    if (comm.rank() == 0) {
+      comm.set_recv_deadline(mprt::RecvDeadline{0.05, 2, 2.0});
+      std::vector<int> a(1, 1);
+      auto ra = coll::nb::iallreduce(comm, std::span<int>(a), SumOp{});
+      EXPECT_THROW(
+          {
+            while (!ra.test()) {
+            }
+          },
+          TimeoutError);
+      EXPECT_THROW(ra.test(), TimeoutError);  // the error stays with A
+      EXPECT_THROW(ra.wait(), TimeoutError);
+      EXPECT_EQ(coll::nb::ProgressEngine::current().in_flight(), 0u);
+      comm.set_recv_deadline(std::nullopt);
+      rb = coll::nb::iallreduce(comm, std::span<int>(b), SumOp{});
+      comm.send(1, kGoTag, 1);
+    } else {
+      (void)comm.reserve_tag_block(coll::nb::kOperationTags);  // A's tags
+      (void)comm.recv<int>(0, kGoTag);
+      rb = coll::nb::iallreduce(comm, std::span<int>(b), SumOp{});
+    }
+    rb.wait();
+    EXPECT_EQ(b, std::vector<int>(1, 3));
   });
 }
 

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "coll/nb/progress.hpp"
@@ -150,6 +151,36 @@ TEST(ScanAsync, InputMayBeOverwrittenWhileInFlight) {
     auto future = rs::scan_async(comm, data, rs::ops::Counts(8));
     std::fill(data.begin(), data.end(), 0);  // the future holds a copy
     EXPECT_EQ(future.get(), blocking);
+  });
+}
+
+// A failed combine stays failed: get() rethrows on every call instead of
+// generating a result from the unfinished state.  Rank 1 consumes the
+// operation's tags without taking part, so rank 0's combine times out
+// (under test(): a wait that finds nothing deliverable parks without a
+// timer, and the scheduler would report a deadlock instead).
+TEST(Future, GetAfterTimeoutThrowsEveryTime) {
+  constexpr int kGoTag = 7;
+  mprt::run(2, [](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.set_recv_deadline(mprt::RecvDeadline{0.05, 2, 2.0});
+      auto future =
+          rs::reduce_async(comm, rank_slice(0), rs::ops::MinK<int>(5));
+      EXPECT_THROW(
+          {
+            while (!future.test()) {
+            }
+          },
+          TimeoutError);
+      EXPECT_THROW(future.get(), TimeoutError);
+      EXPECT_THROW(future.get(), TimeoutError);
+      EXPECT_THROW(future.wait(), TimeoutError);
+      comm.set_recv_deadline(std::nullopt);
+      comm.send(1, kGoTag, 1);
+    } else {
+      (void)comm.reserve_tag_block(coll::nb::kOperationTags);
+      (void)comm.recv<int>(0, kGoTag);
+    }
   });
 }
 

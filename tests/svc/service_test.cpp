@@ -5,8 +5,10 @@
 // torn epoch, and surviving streams keep emitting oracle-exact windows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -310,6 +312,159 @@ TEST(Service, WarmEpochsDoNotPlanOrAllocate) {
     EXPECT_EQ(comm.autotune_invocations(), autotunes);
     EXPECT_EQ(comm.collective_tags_consumed(), tags);
   });
+}
+
+// Staging holds one batch open per member of every stream, so the pool
+// must retain buffers for all streams together, not one stream's fan-in.
+// Hot keys skew the batches, their sizes change between epochs, and every
+// rank sends one empty batch per stream and epoch — to a member that
+// rotates, so that every rank also receives one and the buffers that
+// migrate with the batches balance out.
+TEST(Service, WarmEpochsWithSeveralStreamsDoNotAllocate) {
+  constexpr int kRanks = 8;
+  constexpr int kStreams = 4;
+  std::vector<int> all_ranks;
+  for (int r = 0; r < kRanks; ++r) all_ranks.push_back(r);
+  // What rank r stages for stream s in epoch e: every other event carries
+  // one of three hot keys, and no key belongs to member (r + e) % 8.
+  const auto skewed = [](int rank, int epoch, int s) {
+    const auto count = static_cast<std::size_t>(200 + 120 * (epoch % 3));
+    const int skip = (rank + epoch) % kRanks;
+    const auto base = static_cast<std::uint64_t>(s * 1'000'000 + rank * 10'000);
+    std::vector<Event> events;
+    for (std::uint64_t i = 0; events.size() < count; ++i) {
+      const std::uint64_t key = i % 2 == 0 ? base + 9'000 + i % 3 : base + i;
+      if (svc::HashShard{}(key, kRanks) != skip) {
+        events.push_back(Event{key, static_cast<double>(i % 100)});
+      }
+    }
+    return events;
+  };
+  mprt::run(kRanks, [&](Comm& comm) {
+    svc::Service service(comm);
+    std::vector<svc::StreamBase*> streams;
+    for (int s = 0; s < kStreams; ++s) {
+      streams.push_back(&service.add_stream("s" + std::to_string(s), all_ranks,
+                                            ops::Sum<long>{}, kSumValues,
+                                            tumbling1()));
+    }
+    auto run_epoch = [&](int e) {
+      for (int s = 0; s < kStreams; ++s) {
+        streams[static_cast<std::size_t>(s)]->stage(skewed(comm.rank(), e, s));
+      }
+      service.step_epoch();
+    };
+    for (int e = 1; e <= 6; ++e) run_epoch(e);  // warm-up
+    const std::uint64_t allocs = comm.payload_allocs();
+    for (int e = 7; e <= 30; ++e) run_epoch(e);
+    EXPECT_EQ(comm.payload_allocs(), allocs) << "warm epochs heap-allocated";
+    EXPECT_EQ(service.stats().degraded_streams(), 0u);
+  });
+}
+
+// Routing keeps each rank's staging order within a batch, whether events
+// arrive one by one or as spans, so a noncommutative stream folds the
+// concatenation in (member, source rank, staging order).
+TEST(Service, StagingOrderIsKeptPerSourceAndMember) {
+  constexpr int kRanks = 4;
+  constexpr int kEpochs = 3;
+  const std::vector<int> members = {0, 1, 2, 3};
+  const auto letter = [](const Event& e) { return static_cast<char>(e.value); };
+  // Rank r's events of epoch e, in staging order: enough that some
+  // member's batch outgrows its first buffer.
+  const auto events_of = [](int rank, int epoch) {
+    std::vector<Event> events;
+    for (int i = 0; i < 300 + 40 * epoch; ++i) {
+      const auto key = static_cast<std::uint64_t>(rank * 100'000 + epoch * 1'000 + i);
+      events.push_back(
+          Event{key, static_cast<double>(33 + (rank * 31 + i * 7 + epoch) % 90)});
+    }
+    return events;
+  };
+  std::vector<std::vector<std::optional<std::string>>> out(kRanks);
+  mprt::run(kRanks, [&](Comm& comm) {
+    svc::Service service(comm);
+    auto& s = service.add_stream("concat", members, ops::Concat{}, letter,
+                                 tumbling1());
+    for (int e = 1; e <= kEpochs; ++e) {
+      const std::vector<Event> events = events_of(comm.rank(), e);
+      // Alternate one event with a span of 1, 2, ... 9 events.
+      std::size_t i = 0;
+      for (std::size_t n = 1; i < events.size(); n = n % 9 + 1) {
+        s.stage(events[i++]);
+        const std::size_t len = std::min(n, events.size() - i);
+        s.stage(std::span<const Event>(events).subspan(i, len));
+        i += len;
+      }
+      service.step_epoch();
+      out[static_cast<std::size_t>(comm.rank())].push_back(s.last_window());
+    }
+  });
+
+  for (int e = 1; e <= kEpochs; ++e) {
+    std::string want;
+    for (int m = 0; m < static_cast<int>(members.size()); ++m) {
+      for (int r = 0; r < kRanks; ++r) {
+        for (const Event& ev : events_of(r, e)) {
+          if (svc::HashShard{}(ev.key, static_cast<int>(members.size())) == m) {
+            want.push_back(letter(ev));
+          }
+        }
+      }
+    }
+    for (int r = 0; r < kRanks; ++r) {
+      const auto& got = out[static_cast<std::size_t>(r)][static_cast<std::size_t>(e - 1)];
+      ASSERT_TRUE(got.has_value()) << "rank " << r << " e=" << e;
+      EXPECT_EQ(*got, want) << "rank " << r << " e=" << e;
+    }
+  }
+}
+
+// The default map is splitmix64(key) % n for every shard count, including
+// the powers of two it reduces with a mask.
+TEST(Service, DefaultShardMapIsSplitmixModulo) {
+  std::vector<std::uint64_t> keys = {0, ~std::uint64_t{0}};
+  std::uint64_t x = 2024;
+  for (int i = 0; i < 1000; ++i) keys.push_back(x = mprt::splitmix64(x));
+  std::vector<int> counts;
+  for (int n = 1; n <= 17; ++n) counts.push_back(n);
+  for (const int n : {31, 64, 100, 256, 4096}) counts.push_back(n);
+  for (const int n : counts) {
+    for (const std::uint64_t key : keys) {
+      ASSERT_EQ(svc::HashShard{}(key, n),
+                static_cast<int>(mprt::splitmix64(key) %
+                                 static_cast<std::uint64_t>(n)))
+          << "key " << key << " n " << n;
+    }
+  }
+}
+
+// A custom map's answer is range-checked where the event is routed: in
+// stage.  Events staged before the bad one still reach their shard.
+TEST(Service, CustomShardMapOutOfRangeThrowsFromStage) {
+  constexpr std::uint64_t kTooHigh = 7;
+  constexpr std::uint64_t kNegative = 8;
+  std::vector<std::optional<long>> out(2);
+  mprt::run(2, [&](Comm& comm) {
+    svc::Service service(comm);
+    auto& s = service.add_stream(
+        "custom", std::vector<int>{0, 1}, ops::Sum<long>{}, kSumValues,
+        tumbling1(), svc::ShardMap([](std::uint64_t key, int n) {
+          if (key == kTooHigh) return n;
+          if (key == kNegative) return -1;
+          return static_cast<int>(key % 2);
+        }));
+    s.stage(Event{1, 5.0});
+    EXPECT_THROW(s.stage(Event{kTooHigh, 100.0}), ArgumentError);
+    const std::vector<Event> span = {{2, 1.0}, {kNegative, 100.0}};
+    EXPECT_THROW(s.stage(span), ArgumentError);
+    service.step_epoch();
+    out[static_cast<std::size_t>(comm.rank())] = s.last_window();
+  });
+  for (const auto& got : out) {
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, 2 * (5 + 1));
+  }
 }
 
 TEST(Service, PublishSurfacesAggregateUserStats) {
