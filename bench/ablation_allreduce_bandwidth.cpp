@@ -9,7 +9,6 @@
 
 #include "bench_util.hpp"
 #include "coll/local_reduce.hpp"
-#include "coll/rabenseifner.hpp"
 
 namespace {
 

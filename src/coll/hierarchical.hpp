@@ -10,14 +10,16 @@
 //            p/rpn states instead of p), and
 //   phase 3  intra-node binomial broadcast of the finished state.
 //
-// The leader tier picks among a segmented ring (bandwidth-optimal), a
-// chunked Rabenseifner (bandwidth-optimal at log latency; the usual winner
-// once the leader count is large), and an order-preserving whole-state
-// binomial reduce+bcast, using the *same* ScheduleCost comparison the
-// autotuner's closed form evaluates — so the model and the implementation
-// never disagree about which variant ran.  The segmented options fold
-// chunks out of rank order and so require commutativity; the binomial is
-// the only leader tier noncommutative operators may use.
+// Each phase is a shared schedule of coll/schedules.hpp over a rank map:
+// phases 1 and 3 run the binomial reduce and the binomial state broadcast
+// over the node's ranks, and phase 2 runs the flat two-message, ring or
+// Rabenseifner allreduce over the node leaders.  The leader tier is picked
+// by ScheduleCost::hierarchical_leader, the same function the autotuner's
+// closed form evaluates — so the model and the implementation never
+// disagree about which variant ran.  Ring and Rabenseifner fold chunks
+// out of rank order and so require commutativity; the two-message tier
+// (binomial reduce, then broadcast) is the only one noncommutative
+// operators may use.
 //
 // Noncommutative safety: phase 1 preserves rank order within each node
 // (binomial_reduce_schedule's contiguous-interval invariant), the ordered
@@ -29,11 +31,7 @@
 // only ever *forced* (RSMPI_SCHEDULE=hierarchical), never autotuned.
 #pragma once
 
-#include <cstddef>
-#include <utility>
-
-#include "coll/bcast.hpp"
-#include "coll/ring.hpp"
+#include "coll/schedules.hpp"
 #include "mprt/comm.hpp"
 #include "mprt/cost_model.hpp"
 #include "mprt/topology.hpp"
@@ -41,163 +39,10 @@
 
 namespace rsmpi::rs::detail {
 
-/// Segmented ring allreduce over the node leaders: the ring schedule of
-/// coll/ring.hpp with the rank set {leader_of(0), ..., leader_of(n-1)}.
-/// Called by leaders only; requires commutativity (chunks fold in ring
-/// order).
-template <Combinable Op>
-  requires PartitionableState<Op>
-void leader_ring_allreduce(mprt::Comm& comm,
-                           const mprt::topology::NodeMap& map, int tag,
-                           Op& op) {
-  const int nn = map.num_nodes();
-  if (nn == 1) return;
-  const int node = map.node_of(comm.rank());
-  const std::size_t n = op.part_extent();
-  const int next = map.leader_of((node + 1) % nn);
-  const int prev = map.leader_of((node + nn - 1) % nn);
-  const auto bounds = [&](int c) {
-    const int cc = ((c % nn) + nn) % nn;
-    return std::pair{coll::detail::chunk_start(n, nn, cc),
-                     coll::detail::chunk_start(n, nn, cc + 1)};
-  };
-
-  for (int s = 0; s < nn - 1; ++s) {
-    const auto [slo, shi] = bounds(node - s);
-    send_state_part(comm, next, tag, op, slo, shi);
-    const auto [rlo, rhi] = bounds(node - s - 1);
-    auto msg = comm.recv_message(prev, tag);
-    combine_part_received(comm, op, rlo, rhi, std::move(msg));
-  }
-  for (int s = 0; s < nn - 1; ++s) {
-    const auto [slo, shi] = bounds(node + 1 - s);
-    send_state_part(comm, next, tag, op, slo, shi);
-    const auto [rlo, rhi] = bounds(node - s);
-    auto msg = comm.recv_message(prev, tag);
-    load_part_received(comm, op, rlo, rhi, std::move(msg));
-  }
-}
-
-/// Chunked Rabenseifner allreduce over the node leaders: the schedule of
-/// coll/ring.hpp's state_allreduce_rabenseifner with node indices as the
-/// virtual ranks and map.leader_of translating them back to globals.
-/// Non-power-of-two node counts fold odd nodes into even neighbours
-/// (whole state) first and hand them the result last.  Called by leaders
-/// only; requires commutativity.
-template <Combinable Op>
-  requires PartitionableState<Op>
-void leader_rabenseifner_allreduce(mprt::Comm& comm,
-                                   const mprt::topology::NodeMap& map, int tag,
-                                   Op& op, const Op& prototype) {
-  const int nn = map.num_nodes();
-  if (nn == 1) return;
-  const int node = map.node_of(comm.rank());
-  const std::size_t n = op.part_extent();
-  const int pof2 = 1 << mprt::topology::floor_log2(nn);
-  const int rem = nn - pof2;
-
-  int vnode;  // node index within the power-of-two core, or folded away
-  if (node < 2 * rem) {
-    if (node % 2 == 1) {
-      send_state(comm, map.leader_of(node - 1), tag, op);
-      auto msg = comm.recv_message(map.leader_of(node - 1), tag);
-      {
-        auto timer = comm.compute_section();
-        load_op_into(op, msg.payload());
-      }
-      comm.recycle_buffer(msg.release_storage());
-      return;
-    }
-    auto msg = comm.recv_message(map.leader_of(node + 1), tag);
-    combine_received_state(comm, op, prototype, std::move(msg));
-    vnode = node / 2;
-  } else {
-    vnode = node - rem;
-  }
-  const auto partner_leader = [&](int v) {
-    return map.leader_of(v < rem ? 2 * v : v + rem);
-  };
-  const auto start = [&](int c) { return coll::detail::chunk_start(n, pof2, c); };
-
-  // Recursive-halving reduce-scatter over the leaders.
-  int lo = 0, hi = pof2;
-  for (int dist = pof2 / 2; dist >= 1; dist /= 2) {
-    const int partner = vnode ^ dist;
-    const int mid = (lo + hi) / 2;
-    const bool keep_low = vnode < mid;
-    const int send_lo = keep_low ? mid : lo;
-    const int send_hi = keep_low ? hi : mid;
-    const int keep_lo = keep_low ? lo : mid;
-    const int keep_hi = keep_low ? mid : hi;
-    send_state_part(comm, partner_leader(partner), tag, op, start(send_lo),
-                    start(send_hi));
-    auto msg = comm.recv_message(partner_leader(partner), tag);
-    combine_part_received(comm, op, start(keep_lo), start(keep_hi),
-                          std::move(msg));
-    lo = keep_lo;
-    hi = keep_hi;
-  }
-
-  // Recursive-doubling allgather.
-  for (int dist = 1; dist < pof2; dist *= 2) {
-    const int partner = vnode ^ dist;
-    send_state_part(comm, partner_leader(partner), tag, op, start(lo),
-                    start(hi));
-    const int block = 2 * dist;
-    const int base = (vnode / block) * block;
-    const int plo = (lo == base) ? base + dist : base;
-    const int phi = plo + dist;
-    auto msg = comm.recv_message(partner_leader(partner), tag);
-    load_part_received(comm, op, start(plo), start(phi), std::move(msg));
-    lo = base;
-    hi = base + block;
-  }
-
-  if (node < 2 * rem) {
-    send_state(comm, map.leader_of(node + 1), tag, op);
-  }
-}
-
-/// Order-preserving whole-state allreduce over the node leaders: binomial
-/// reduce to node 0's leader (combining node intervals in node order, so
-/// noncommutative operators see contiguous global-rank intervals) followed
-/// by a binomial broadcast back.  Called by leaders only.
-template <Combinable Op>
-void leader_binomial_allreduce(mprt::Comm& comm,
-                               const mprt::topology::NodeMap& map, int tag,
-                               Op& op, const Op& prototype) {
-  const int nn = map.num_nodes();
-  if (nn == 1) return;
-  const int node = map.node_of(comm.rank());
-  using mprt::topology::BinomialStep;
-  for (const auto& step :
-       mprt::topology::binomial_reduce_schedule(node, nn)) {
-    if (step.role == BinomialStep::Role::kSend) {
-      send_state(comm, map.leader_of(step.partner), tag, op);
-    } else {
-      auto msg = comm.recv_message(map.leader_of(step.partner), tag);
-      combine_received_state(comm, op, prototype, std::move(msg));
-    }
-  }
-  for (const auto& step :
-       mprt::topology::binomial_bcast_schedule(node, nn)) {
-    if (step.role == BinomialStep::Role::kSend) {
-      send_state(comm, map.leader_of(step.partner), tag, op);
-    } else {
-      auto msg = comm.recv_message(map.leader_of(step.partner), tag);
-      {
-        auto timer = comm.compute_section();
-        load_op_into(op, msg.payload());
-      }
-      comm.recycle_buffer(msg.release_storage());
-    }
-  }
-}
-
 /// Two-level allreduce (see file comment).  Legal for noncommutative
 /// operators — pass `commutative = false` to pin the ordered leader tier;
-/// with `commutative = true` the leader tier takes the cost model's pick
-/// between the segmented ring and the ordered binomial.
+/// with `commutative = true` a partitionable operator's leader tier takes
+/// the cost model's pick among two-message, ring and Rabenseifner.
 template <Combinable Op>
 void state_allreduce_hierarchical(mprt::Comm& comm, Op& op,
                                   const Op& prototype,
@@ -205,79 +50,45 @@ void state_allreduce_hierarchical(mprt::Comm& comm, Op& op,
   const int p = comm.size();
   if (p == 1) return;
   const mprt::CostModel& model = comm.cost_model();
-  const int rpn = model.two_tier() ? model.ranks_per_node : 1;
-  const mprt::topology::NodeMap map(p, rpn);
+  const mprt::topology::NodeMap nodes(
+      p, model.two_tier() ? model.ranks_per_node : 1);
+  const int rank = comm.rank();
+  const RankMap node = RankMap::node(nodes, rank);
 
   // Every rank reserves the same 3-tag block SPMD-style, whether or not it
   // participates in a given phase — tag sequences must never diverge
   // across ranks.
-  const int tag0 = comm.reserve_collective_tags(3);
-  const int tag_reduce = tag0;
-  const int tag_leader = tag0 + 1;
-  const int tag_bcast = tag0 + 2;
-
-  const int rank = comm.rank();
-  const int node = map.node_of(rank);
-  const int leader = map.leader_of(node);
-  const int lrank = map.local_rank(rank);
-  const int lsize = map.node_size(node);
-  using mprt::topology::BinomialStep;
+  const int tag = comm.reserve_collective_tags(3);
 
   // Phase 1: intra-node binomial reduce to the leader, rank order
-  // preserved (partner indices are node-local, offset back to globals).
-  for (const auto& step :
-       mprt::topology::binomial_reduce_schedule(lrank, lsize)) {
-    if (step.role == BinomialStep::Role::kSend) {
-      send_state(comm, leader + step.partner, tag_reduce, op);
-    } else {
-      auto msg = comm.recv_message(leader + step.partner, tag_reduce);
-      combine_received_state(comm, op, prototype, std::move(msg));
-    }
-  }
+  // preserved.
+  state_reduce_binomial(comm, node, tag, op, prototype);
 
-  // Phase 2: allreduce among leaders over the expensive tier, picking the
-  // variant with the *same* ScheduleCost comparison the autotuner's closed
-  // form minimizes, so model and implementation never disagree.
-  if (lrank == 0 && map.num_nodes() > 1) {
-    bool done = false;
+  // Phase 2: allreduce among the leaders over the expensive tier.
+  if (nodes.is_leader(rank) && nodes.num_nodes() > 1) {
+    using Tier = mprt::ScheduleCost::LeaderTier;
+    const RankMap leaders = RankMap::leaders(nodes, rank);
+    Tier tier = Tier::kTwoMessage;
     if constexpr (PartitionableState<Op>) {
       if (commutative) {
-        using SC = mprt::ScheduleCost;
-        const std::size_t bytes = part_state_bytes(op);
-        const int nn = map.num_nodes();
-        const double ring_t = SC::hierarchical_leader_ring(model, nn, bytes);
-        const double rab_t =
-            SC::hierarchical_leader_rabenseifner(model, nn, bytes);
-        const double binom_t =
-            SC::hierarchical_leader_binomial(model, nn, bytes);
-        if (rab_t < binom_t && rab_t <= ring_t) {
-          leader_rabenseifner_allreduce(comm, map, tag_leader, op, prototype);
-          done = true;
-        } else if (ring_t < binom_t) {
-          leader_ring_allreduce(comm, map, tag_leader, op);
-          done = true;
-        }
+        tier = mprt::ScheduleCost::hierarchical_leader(
+                   model, nodes.num_nodes(), part_state_bytes(op))
+                   .tier;
+      }
+      if (tier == Tier::kRabenseifner) {
+        state_allreduce_rabenseifner(comm, leaders, tag + 1, op, prototype);
+      } else if (tier == Tier::kRing) {
+        state_allreduce_ring(comm, leaders, tag + 1, op);
       }
     }
-    if (!done) {
-      leader_binomial_allreduce(comm, map, tag_leader, op, prototype);
+    if (tier == Tier::kTwoMessage) {
+      state_reduce_binomial(comm, leaders, tag + 1, op, prototype);
+      state_bcast_binomial(comm, leaders, tag + 1, op);
     }
   }
 
   // Phase 3: intra-node binomial broadcast of the finished state.
-  for (const auto& step :
-       mprt::topology::binomial_bcast_schedule(lrank, lsize)) {
-    if (step.role == BinomialStep::Role::kSend) {
-      send_state(comm, leader + step.partner, tag_bcast, op);
-    } else {
-      auto msg = comm.recv_message(leader + step.partner, tag_bcast);
-      {
-        auto timer = comm.compute_section();
-        load_op_into(op, msg.payload());
-      }
-      comm.recycle_buffer(msg.release_storage());
-    }
-  }
+  state_bcast_binomial(comm, node, tag + 2, op);
 }
 
 }  // namespace rsmpi::rs::detail

@@ -2,22 +2,26 @@
 // abstraction (§2).  Each rank contributes one already-accumulated value
 // buffer; these routines run the combine phase of Figure 1 across ranks.
 //
-// Algorithm selection follows §1's discussion of operator properties:
+// A buffer plus its operator is an operator state (coll::SpanState), so
+// the trees are the global view's own schedules (coll/schedules.hpp) over
+// the communicator rotated to the root.  Algorithm selection follows §1's
+// discussion of operator properties:
 //   * non-commutative (but associative) operators use an order-preserving
 //     binomial tree, in which every partial result covers a contiguous
 //     rank interval and combines always append on the right;
-//   * commutative operators may also use a k-ary combine-as-available tree
-//     (wildcard receives), which exploits a branching factor greater than
-//     two by folding in whichever child's contribution lands first;
+//   * commutative operators may also use a k-ary combine-as-available tree,
+//     which exploits a branching factor greater than two;
+//   * commutative element-wise operators may use Rabenseifner's
+//     bandwidth-optimal reduce-scatter + allgather;
 //   * a linear chain is provided as the baseline the log-tree variants are
 //     measured against.
 #pragma once
 
-#include <optional>
+#include <span>
 #include <vector>
 
-#include "coll/bcast.hpp"
 #include "coll/buffer_op.hpp"
+#include "coll/schedules.hpp"
 #include "mprt/comm.hpp"
 #include "mprt/topology.hpp"
 #include "util/error.hpp"
@@ -32,48 +36,6 @@ enum class ReduceAlgo {
 };
 
 namespace detail {
-
-inline constexpr int kUnorderedArity = 4;
-
-template <typename T, LocalViewOp<T> Op>
-void combine_received(const Op& op, std::span<T> inout, bool inout_is_left,
-                      std::span<const T> received) {
-  if (received.size() != inout.size()) {
-    throw ProtocolError("local_reduce: buffer extent differs across ranks");
-  }
-  if (inout_is_left) {
-    op.combine(inout, received);
-  } else {
-    // result = received (+) inout; evaluate into a temp, then copy back.
-    std::vector<T> tmp(received.begin(), received.end());
-    op.combine(std::span<T>(tmp),
-               std::span<const T>(inout.data(), inout.size()));
-    std::copy(tmp.begin(), tmp.end(), inout.begin());
-  }
-}
-
-/// Order-preserving binomial tree to virtual rank 0 (= real rank `root`
-/// after rotation).  Only valid for non-commutative ops when root == 0,
-/// because rotation breaks rank-order contiguity; callers enforce this.
-template <typename T, LocalViewOp<T> Op>
-void reduce_binomial(mprt::Comm& comm, int root, std::span<T> values,
-                     const Op& op) {
-  const int p = comm.size();
-  const int tag = comm.next_collective_tag();
-  const int vrank = (comm.rank() - root + p) % p;
-  for (const auto& step : mprt::topology::binomial_reduce_schedule(vrank, p)) {
-    const int partner = (step.partner + root) % p;
-    if (step.role == mprt::topology::BinomialStep::Role::kSend) {
-      comm.send_span(partner, tag, std::span<const T>(values));
-    } else {
-      std::vector<T> received(values.size());
-      comm.recv_span<T>(partner, tag, received);
-      // Receiver is the lower virtual rank: its block is on the left.
-      combine_received(op, values, /*inout_is_left=*/true,
-                       std::span<const T>(received));
-    }
-  }
-}
 
 /// Linear chain: every rank sends to root, which folds in rank order.
 template <typename T, LocalViewOp<T> Op>
@@ -108,33 +70,6 @@ void reduce_linear(mprt::Comm& comm, int root, std::span<T> values,
   std::copy(acc.begin(), acc.end(), values.begin());
 }
 
-/// k-ary combine-as-available tree rooted at `root` (after rotation).
-/// Children of virtual node i are k*i+1 .. k*i+k; a parent folds child
-/// contributions in *arrival* order, which is only correct for commutative
-/// operators — exactly the optimization §1 describes for branching factors
-/// greater than two.
-template <typename T, LocalViewOp<T> Op>
-void reduce_unordered(mprt::Comm& comm, int root, std::span<T> values,
-                      const Op& op, int arity) {
-  const int p = comm.size();
-  const int tag = comm.next_collective_tag();
-  const int vrank = (comm.rank() - root + p) % p;
-
-  int num_children = 0;
-  for (int c = arity * vrank + 1; c <= arity * vrank + arity && c < p; ++c) {
-    ++num_children;
-  }
-  std::vector<T> received(values.size());
-  for (int i = 0; i < num_children; ++i) {
-    comm.recv_span<T>(mprt::kAnySource, tag, received);
-    op.combine(values, std::span<const T>(received));
-  }
-  if (vrank != 0) {
-    const int vparent = (vrank - 1) / arity;
-    comm.send_span((vparent + root) % p, tag, std::span<const T>(values));
-  }
-}
-
 }  // namespace detail
 
 /// LOCAL_REDUCE: combines each rank's buffer across ranks; the result is
@@ -147,7 +82,7 @@ void reduce_unordered(mprt::Comm& comm, int root, std::span<T> values,
 template <typename T, LocalViewOp<T> Op>
 void local_reduce(mprt::Comm& comm, int root, std::span<T> values,
                   const Op& op, ReduceAlgo algo = ReduceAlgo::kAuto,
-                  int unordered_arity = detail::kUnorderedArity) {
+                  int unordered_arity = rs::detail::kUnorderedArity) {
   const int p = comm.size();
   if (root < 0 || root >= p) {
     throw ArgumentError("local_reduce: root rank out of range");
@@ -172,24 +107,23 @@ void local_reduce(mprt::Comm& comm, int root, std::span<T> values,
   if (unordered_arity < 2) {
     throw ArgumentError("local_reduce: unordered arity must be >= 2");
   }
-  switch (algo) {
-    case ReduceAlgo::kLinear:
-      detail::reduce_linear(comm, tree_root, values, op);
-      break;
-    case ReduceAlgo::kBinomial:
-      detail::reduce_binomial(comm, tree_root, values, op);
-      break;
-    case ReduceAlgo::kUnorderedTree:
-      detail::reduce_unordered(comm, tree_root, values, op, unordered_arity);
-      break;
-    case ReduceAlgo::kAuto:
-      if (commutative) {
-        detail::reduce_unordered(comm, tree_root, values, op,
-                                 unordered_arity);
-      } else {
-        detail::reduce_binomial(comm, tree_root, values, op);
-      }
-      break;
+  if (algo == ReduceAlgo::kLinear) {
+    detail::reduce_linear(comm, tree_root, values, op);
+  } else {
+    // The reduce schedules fold received bytes with the state's own
+    // combine_from_bytes and never read the prototype, so the state
+    // stands in as its own.
+    SpanState<T, Op> state(values, op);
+    const auto map =
+        mprt::topology::RankMap::rotated(p, comm.rank(), tree_root);
+    const int tag = comm.next_collective_tag();
+    if (algo == ReduceAlgo::kUnorderedTree ||
+        (algo == ReduceAlgo::kAuto && commutative)) {
+      rs::detail::state_reduce_unordered(comm, map, tag, state, state,
+                                         unordered_arity);
+    } else {
+      rs::detail::state_reduce_binomial(comm, map, tag, state, state);
+    }
   }
 
   if (forward_from_zero) {
@@ -203,14 +137,45 @@ void local_reduce(mprt::Comm& comm, int root, std::span<T> values,
 }
 
 /// LOCAL_ALLREDUCE: as local_reduce but the result is valid on every rank.
-/// Implemented as reduce-to-root plus binomial broadcast, which preserves
-/// operand order for non-commutative operators.
+/// Implemented as reduce-to-root plus the shared binomial state broadcast,
+/// which preserves operand order for non-commutative operators.  The
+/// broadcast move-sends pooled buffers down the tree the reduce sent them
+/// up, so a repeated allreduce circulates the same payload buffers instead
+/// of piling them up in the root's pool.
 template <typename T, LocalViewOp<T> Op>
 void local_allreduce(mprt::Comm& comm, std::span<T> values, const Op& op,
                      ReduceAlgo algo = ReduceAlgo::kAuto,
-                     int unordered_arity = detail::kUnorderedArity) {
+                     int unordered_arity = rs::detail::kUnorderedArity) {
   local_reduce(comm, 0, values, op, algo, unordered_arity);
-  bcast_span(comm, 0, values);
+  SpanState<T, Op> state(values, op);
+  rs::detail::state_bcast_binomial(comm, rs::detail::whole(comm),
+                                   comm.next_collective_tag(), state);
+}
+
+/// In-place allreduce of `values` by Rabenseifner's recursive-halving
+/// reduce-scatter + recursive-doubling allgather.  The reduce-to-root +
+/// broadcast allreduce moves the whole buffer along every tree edge, about
+/// 2·log2(p)·n bytes on the critical path; this schedule moves about
+/// 2·(1 − 1/p)·n — the bandwidth-optimal schedule for large aggregated
+/// payloads (§2.1 aggregation makes payloads large, and §1 notes
+/// commutative operators can "take better advantage of the network").
+/// The buffer is cut into element chunks combined in pair order, so the
+/// operator must be commutative and element-wise; any other throws
+/// ArgumentError.  The buffer must have the same extent on every rank.
+template <typename T, LocalViewOp<T> Op>
+void local_allreduce_rabenseifner(mprt::Comm& comm, std::span<T> values,
+                                  const Op& op) {
+  if (!is_commutative<Op>()) {
+    throw ArgumentError(
+        "rabenseifner allreduce requires a commutative operator");
+  }
+  if constexpr (!is_elementwise<Op>()) {
+    throw ArgumentError(
+        "rabenseifner allreduce requires an element-wise operator");
+  } else {
+    SpanState<T, Op> state(values, op);
+    rs::detail::state_allreduce_rabenseifner(comm, state, state);
+  }
 }
 
 // -- Scalar convenience wrappers over binary operators ----------------------

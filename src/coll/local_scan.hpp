@@ -7,18 +7,23 @@
 // undefined — the paper's abstraction requires the operator's identity
 // function precisely so the exclusive scan is total (§2).
 //
-// The parallel algorithm is the Hillis–Steele / recursive-doubling form of
-// the Ladner–Fischer parallel prefix network: ceil(log2 p) rounds in which
-// rank r sends its running inclusive value to rank r+d and prepends the
-// value received from rank r-d.  Each prepend joins two contiguous rank
-// intervals in order, so the schedule is valid for non-commutative
-// (associative) operators as well.
+// The default algorithm is recursive doubling (the Hillis–Steele form of
+// the Ladner–Fischer parallel prefix network): ceil(log2 p) rounds in
+// which rank r sends its running inclusive value to rank r+d and prepends
+// the value received from rank r-d.  Each prepend joins two contiguous
+// rank intervals in order, so the schedule is valid for non-commutative
+// (associative) operators as well.  It is the global view's own exclusive
+// scan (rs::detail::state_xscan) run on the buffer as an operator state
+// (coll::SpanState); the inclusive scan then folds in the rank's own
+// contribution, as rs::scan does.  The linear chain and Blelloch's sweeps
+// are local-view baselines over plain buffers.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "coll/buffer_op.hpp"
+#include "coll/schedules.hpp"
 #include "mprt/comm.hpp"
 #include "util/error.hpp"
 
@@ -34,43 +39,6 @@ enum class ScanAlgo {
 };
 
 namespace detail {
-
-/// Recursive-doubling exclusive+inclusive scan.  On return `excl` holds the
-/// combination of ranks [0, rank) (identity on rank 0) and `incl` holds
-/// [0, rank].  Invariant per round with distance d: `incl` covers the
-/// contiguous interval [max(0, rank-2d+1), rank].
-template <typename T, LocalViewOp<T> Op>
-void scan_hillis_steele(mprt::Comm& comm, const Op& op, std::span<T> excl,
-                        std::span<T> incl) {
-  const int p = comm.size();
-  const int rank = comm.rank();
-  const int tag = comm.next_collective_tag();
-
-  std::vector<T> received(excl.size());
-  for (int d = 1; d < p; d <<= 1) {
-    if (rank + d < p) {
-      comm.send_span(rank + d, tag, std::span<const T>(incl.data(),
-                                                       incl.size()));
-    }
-    if (rank - d >= 0) {
-      comm.recv_span<T>(rank - d, tag, received);
-      // Prepend: new = received (+) old.  Evaluate into a temp because the
-      // received block is the left operand.
-      std::vector<T> tmp(received.begin(), received.end());
-      op.combine(std::span<T>(tmp),
-                 std::span<const T>(incl.data(), incl.size()));
-      std::copy(tmp.begin(), tmp.end(), incl.begin());
-
-      // The same received interval also extends the exclusive prefix:
-      // excl covers [max(0, rank-2d+1), rank-1] after this update and
-      // therefore [0, rank-1] once 2d > rank.
-      tmp.assign(received.begin(), received.end());
-      op.combine(std::span<T>(tmp),
-                 std::span<const T>(excl.data(), excl.size()));
-      std::copy(tmp.begin(), tmp.end(), excl.begin());
-    }
-  }
-}
 
 /// Linear-chain scan: rank r waits for the exclusive prefix of rank r-1,
 /// extends it with its own value, and forwards.  O(p) latency but only one
@@ -165,25 +133,25 @@ void scan_blelloch(mprt::Comm& comm, const Op& op, std::span<T> excl,
   op.combine(incl, std::span<const T>(own));
 }
 
+/// Runs the buffer baselines — the linear chain, or Blelloch's sweeps at
+/// power-of-two p — and returns true; returns false for every other
+/// request, which is recursive doubling, the shared state scan.
 template <typename T, LocalViewOp<T> Op>
-void scan_impl(mprt::Comm& comm, const Op& op, std::span<T> excl,
-               std::span<T> incl, ScanAlgo algo) {
-  switch (algo) {
-    case ScanAlgo::kLinear:
-      scan_linear(comm, op, excl, incl);
-      return;
-    case ScanAlgo::kBlelloch:
-      if ((comm.size() & (comm.size() - 1)) == 0) {
-        scan_blelloch(comm, op, excl, incl);
-        return;
-      }
-      scan_hillis_steele(comm, op, excl, incl);
-      return;
-    case ScanAlgo::kHillisSteele:
-    case ScanAlgo::kAuto:
-      scan_hillis_steele(comm, op, excl, incl);
-      return;
+bool scan_baseline(mprt::Comm& comm, const Op& op, std::span<T> values,
+                   ScanAlgo algo, bool inclusive) {
+  const int p = comm.size();
+  const bool blelloch = algo == ScanAlgo::kBlelloch && (p & (p - 1)) == 0;
+  if (algo != ScanAlgo::kLinear && !blelloch) return false;
+  std::vector<T> other(values.begin(), values.end());
+  const std::span<T> excl = inclusive ? std::span<T>(other) : values;
+  const std::span<T> incl = inclusive ? values : std::span<T>(other);
+  op.ident(excl);
+  if (blelloch) {
+    scan_blelloch(comm, op, excl, incl);
+  } else {
+    scan_linear(comm, op, excl, incl);
   }
+  return true;
 }
 
 }  // namespace detail
@@ -193,9 +161,11 @@ void scan_impl(mprt::Comm& comm, const Op& op, std::span<T> excl,
 template <typename T, LocalViewOp<T> Op>
 void local_xscan(mprt::Comm& comm, std::span<T> values, const Op& op,
                  ScanAlgo algo = ScanAlgo::kAuto) {
-  std::vector<T> incl(values.begin(), values.end());
-  op.ident(values);
-  detail::scan_impl(comm, op, values, std::span<T>(incl), algo);
+  if (detail::scan_baseline(comm, op, values, algo, /*inclusive=*/false)) {
+    return;
+  }
+  SpanState<T, Op> state(values, op);
+  rs::detail::state_xscan(comm, state, SpanState<T, Op>(values.size(), op));
 }
 
 /// LOCAL_SCAN: inclusive scan.  On return `values` holds the combination
@@ -207,9 +177,14 @@ void local_xscan(mprt::Comm& comm, std::span<T> values, const Op& op,
 template <typename T, LocalViewOp<T> Op>
 void local_scan(mprt::Comm& comm, std::span<T> values, const Op& op,
                 ScanAlgo algo = ScanAlgo::kAuto) {
-  std::vector<T> excl(values.size());
-  op.ident(std::span<T>(excl));
-  detail::scan_impl(comm, op, std::span<T>(excl), values, algo);
+  if (detail::scan_baseline(comm, op, values, algo, /*inclusive=*/true)) {
+    return;
+  }
+  SpanState<T, Op> state(values, op);
+  const SpanState<T, Op> own(state);
+  rs::detail::state_xscan(comm, state, SpanState<T, Op>(values.size(), op));
+  auto timer = comm.compute_section();
+  state.combine(own);
 }
 
 // -- Scalar convenience wrappers over binary operators ----------------------

@@ -9,7 +9,6 @@
 
 #include "coll/local_reduce.hpp"
 #include "coll/nb/progress.hpp"
-#include "coll/rabenseifner.hpp"
 #include "mprt/comm.hpp"
 
 namespace rsmpi::coll::nb {
@@ -17,7 +16,8 @@ namespace rsmpi::coll::nb {
 /// Schedule selection for iallreduce.
 enum class IAllreduceAlgo {
   kBinomial,      ///< reduce-to-zero + bcast; any associative operator
-  kRabenseifner,  ///< reduce-scatter + allgather; commutative only
+  kRabenseifner,  ///< reduce-scatter + allgather; commutative element-wise
+                  ///< operators only
 };
 
 /// Starts a nonblocking in-place allreduce of `values`; on completion every

@@ -3,10 +3,12 @@
 // The collectives in src/coll are expressed over three virtual topologies:
 // binomial trees (reduce, bcast), hypercube/recursive-doubling pairings
 // (allreduce, scan), and dissemination rings (barrier).  The functions here
-// keep that index arithmetic in one tested place.
+// keep that index arithmetic in one tested place, together with the rank
+// maps the state schedules run over and their chunk boundaries.
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -95,6 +97,61 @@ struct NodeMap {
   /// Rank's index within its node, in [0, node_size).
   [[nodiscard]] constexpr int local_rank(int rank) const { return rank % rpn; }
 };
+
+/// The ranks one run of a schedule spans: schedule position i in
+/// [0, size) is communicator rank (base + i·stride) mod p.  Each state
+/// schedule is written once over a map and runs over four of them: the
+/// whole communicator, the communicator rotated to a root (the local
+/// view's rooted trees), one node of a NodeMap (the hierarchical
+/// schedule's intra-node phases) and the node leaders (its inter-node
+/// phase).  A map only renames ranks, so it costs no messages, unlike a
+/// split into a subcommunicator.
+struct RankMap {
+  int size = 1;    ///< positions in the schedule
+  int pos = 0;     ///< this rank's position
+  int p = 1;       ///< communicator size
+  int base = 0;    ///< rank at position 0
+  int stride = 1;  ///< rank distance between adjacent positions
+
+  /// Communicator rank at schedule position `i`.
+  [[nodiscard]] constexpr int rank(int i) const {
+    return static_cast<int>((base + static_cast<std::int64_t>(i) * stride) %
+                            p);
+  }
+
+  /// Every rank, position = rank.
+  [[nodiscard]] static constexpr RankMap whole(int p, int rank) {
+    return {p, rank, p};
+  }
+  /// Every rank, rotated so `root` sits at position 0.
+  [[nodiscard]] static constexpr RankMap rotated(int p, int rank, int root) {
+    return {p, (rank - root + p) % p, p, root};
+  }
+  /// The ranks of `rank`'s node, its leader at position 0.
+  [[nodiscard]] static constexpr RankMap node(const NodeMap& nodes,
+                                              int rank) {
+    const int node = nodes.node_of(rank);
+    return {nodes.node_size(node), nodes.local_rank(rank), nodes.p,
+            nodes.leader_of(node)};
+  }
+  /// The node leaders in node order; `rank` must be a leader.
+  [[nodiscard]] static constexpr RankMap leaders(const NodeMap& nodes,
+                                                 int rank) {
+    return {nodes.num_nodes(), nodes.node_of(rank), nodes.p, 0, nodes.rpn};
+  }
+};
+
+/// Element index where chunk `c` of `chunks` begins in a range of n
+/// elements (monotone, exactly covering [0, n)): the segment boundaries of
+/// the ring, Rabenseifner and pipelined schedules.  The product n * c can
+/// exceed 64 bits for large element counts, so it is computed in 128-bit
+/// arithmetic.
+[[nodiscard]] inline std::size_t chunk_start(std::size_t n, int chunks,
+                                             int c) {
+  return static_cast<std::size_t>(static_cast<unsigned __int128>(n) *
+                                  static_cast<unsigned>(c) /
+                                  static_cast<unsigned>(chunks));
+}
 
 /// The mirror schedule for a binomial broadcast from rank 0: the reduce
 /// schedule reversed with roles flipped.

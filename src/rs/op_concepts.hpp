@@ -129,9 +129,9 @@ concept HasCombineFromBytes =
 // [0, part_extent()) into consecutive ranges, combining another state
 // range-by-range must equal one whole-state combine(), and save_part over
 // the full range followed by load_part must round-trip the state.  The
-// bandwidth-optimal schedules (coll/ring.hpp, coll/pipeline.hpp) are only
-// offered to operators modelling these hooks; everything else keeps the
-// whole-state path.
+// bandwidth-optimal schedules (coll/schedules.hpp, coll/pipeline.hpp) are
+// only offered to operators modelling these hooks; everything else keeps
+// the whole-state path.
 
 template <typename Op>
 concept PartitionableState =

@@ -134,9 +134,7 @@ std::optional<reduce_result_t<Op>> reduce_root(mprt::Comm& comm, int root,
       if (comm.rank() == 0) {
         detail::send_state(comm, root, tag, op);
       } else if (comm.rank() == root) {
-        auto msg = comm.recv_message(0, tag);
-        load_op_into(op, msg.payload());
-        comm.recycle_buffer(msg.release_storage());
+        detail::load_received_state(comm, op, comm.recv_message(0, tag));
       }
     }
   }

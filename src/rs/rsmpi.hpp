@@ -20,7 +20,6 @@
 #include "coll/nb/progress.hpp"
 #include "coll/nb/request.hpp"
 #include "coll/persistent.hpp"
-#include "coll/rabenseifner.hpp"
 #include "dist/block_array.hpp"
 #include "dist/block_matrix.hpp"
 #include "mprt/comm.hpp"

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "mprt/cost_model.hpp"
 #include "mprt/runtime.hpp"
@@ -110,16 +111,18 @@ TEST(Hierarchical, SegmentedLeaderTiersMatchOracle) {
   constexpr int kPerRank = 64;
   const std::size_t bytes = rs::part_state_bytes(rs::ops::Counts(kBuckets));
 
-  // The cost model really does pick each segmented tier for its shape.
+  // The cost model really does pick each segmented tier for its shape: the
+  // leader tier is the flat schedules on the inter-tier model.
   const CostModel model = CostModel::cluster_of_smp(2);
-  EXPECT_LT(ScheduleCost::hierarchical_leader_ring(model, 3, bytes),
-            ScheduleCost::hierarchical_leader_rabenseifner(model, 3, bytes));
-  EXPECT_LT(ScheduleCost::hierarchical_leader_ring(model, 3, bytes),
-            ScheduleCost::hierarchical_leader_binomial(model, 3, bytes));
-  EXPECT_LT(ScheduleCost::hierarchical_leader_rabenseifner(model, 4, bytes),
-            ScheduleCost::hierarchical_leader_ring(model, 4, bytes));
-  EXPECT_LT(ScheduleCost::hierarchical_leader_rabenseifner(model, 4, bytes),
-            ScheduleCost::hierarchical_leader_binomial(model, 4, bytes));
+  const CostModel inter = model.inter_tier();
+  EXPECT_LT(ScheduleCost::ring(inter, 3, bytes),
+            ScheduleCost::rabenseifner(inter, 3, bytes));
+  EXPECT_LT(ScheduleCost::ring(inter, 3, bytes),
+            ScheduleCost::two_message(inter, 3, bytes));
+  EXPECT_LT(ScheduleCost::rabenseifner(inter, 4, bytes),
+            ScheduleCost::ring(inter, 4, bytes));
+  EXPECT_LT(ScheduleCost::rabenseifner(inter, 4, bytes),
+            ScheduleCost::two_message(inter, 4, bytes));
 
   for (const int p : {6, 8}) {
     // The direct entry point, so no env forcing is needed and the
@@ -147,6 +150,67 @@ TEST(Hierarchical, SegmentedLeaderTiersMatchOracle) {
       ASSERT_TRUE(results[static_cast<std::size_t>(r)] == want)
           << "p=" << p << " rank " << r;
     }
+  }
+}
+
+// Exact traffic and modelled finish of the hierarchical schedule on
+// cluster_of_smp(8) with free compute, one case per leader tier:
+// Rabenseifner at 2, 8 and 32 nodes, the ring at 3 nodes, and the ordered
+// two-message tier for the noncommutative OrderedWord.  Any change to the
+// schedule's messages, their sizes, their tier or their order moves one of
+// these numbers.
+TEST(Hierarchical, TrafficAndFinishArePinned) {
+  struct Case {
+    int p;
+    std::size_t buckets;  // Counts(buckets); 0 = OrderedWord
+    std::uint64_t messages;
+    std::uint64_t bytes;
+    std::uint64_t intra_bytes;
+    std::uint64_t inter_bytes;
+    double makespan_s;
+  };
+  const Case cases[] = {
+      {12, 1024, 24, 180384, 164000, 16384, 2.4512000000000012e-05},
+      {24, 1024, 54, 377168, 344400, 32768, 3.3263999999999992e-05},
+      {64, 1024, 160, 1033088, 918400, 114688, 4.2655999999999986e-05},
+      {256, 8192, 768, 33426944, 29363712, 4063232, 2.0170240000000006e-04},
+      {12, 0, 22, 2048, 1831, 217, 9.8540999999999994e-06},
+      {64, 0, 126, 62244, 54209, 8035, 2.7362400000000001e-05},
+      {256, 0, 510, 1111644, 967613, 144031, 6.2618899999999998e-05},
+  };
+  CostModel model = CostModel::cluster_of_smp(8);
+  model.compute_scale = 0.0;
+  using Tier = ScheduleCost::LeaderTier;
+  EXPECT_EQ(ScheduleCost::hierarchical_leader(model, 3, 8192).tier,
+            Tier::kRing);
+  for (const int nodes : {2, 8, 32}) {
+    EXPECT_EQ(ScheduleCost::hierarchical_leader(model, nodes, 8192).tier,
+              Tier::kRabenseifner);
+  }
+
+  for (const Case& c : cases) {
+    const mprt::RunResult r = mprt::run(c.p, [&](Comm& comm) {
+      if (c.buckets == 0) {
+        auto op = verify::accumulated<verify::OrderedWord>(comm.rank());
+        rs::detail::state_allreduce_hierarchical(
+            comm, op, verify::make_prototype<verify::OrderedWord>());
+        EXPECT_EQ(op.gen(), verify::expected_result<verify::OrderedWord>(c.p));
+        return;
+      }
+      rs::ops::Counts op(c.buckets);
+      for (int i = 0; i < 64; ++i) {
+        op.accum((comm.rank() * 64 + i * 37) % static_cast<int>(c.buckets));
+      }
+      rs::detail::state_allreduce_hierarchical(comm, op,
+                                               rs::ops::Counts(c.buckets));
+    }, model);
+    const std::string what = "p=" + std::to_string(c.p) + " buckets=" +
+                             std::to_string(c.buckets);
+    EXPECT_EQ(r.total_messages, c.messages) << what;
+    EXPECT_EQ(r.total_bytes, c.bytes) << what;
+    EXPECT_EQ(r.intra_node_bytes, c.intra_bytes) << what;
+    EXPECT_EQ(r.inter_node_bytes, c.inter_bytes) << what;
+    EXPECT_DOUBLE_EQ(r.makespan_s, c.makespan_s) << what;
   }
 }
 

@@ -9,8 +9,9 @@
 #include <vector>
 
 #include "coll/local_reduce.hpp"
-#include "coll/rabenseifner.hpp"
+#include "coll/nb/iallreduce.hpp"
 #include "mprt/runtime.hpp"
+#include "mprt/topology.hpp"
 #include "tests/coll/test_matrix_op.hpp"
 
 namespace {
@@ -75,6 +76,36 @@ TEST(Rabenseifner, RejectsNonCommutativeOps) {
                ArgumentError);
 }
 
+TEST(Rabenseifner, RejectsOperatorsThatAreNotElementwise) {
+  // LocalMinK is commutative but merges whole k-vectors, so cutting the
+  // buffer into element chunks would combine unrelated slices of it: with
+  // rank r holding r, r+p, r+2p, r+3p the chunked schedule once returned
+  // {0,1,4,5} at p = 2 instead of {0,1,2,3}.  It must be refused, like a
+  // non-commutative operator, blocking and nonblocking alike.
+  for (const int p : {2, 4, 8}) {
+    EXPECT_THROW(mprt::run(p,
+                           [](mprt::Comm& comm) {
+                             std::vector<int> v(4);
+                             for (int k = 0; k < 4; ++k) {
+                               v[static_cast<std::size_t>(k)] =
+                                   comm.rank() + k * comm.size();
+                             }
+                             coll::local_allreduce_rabenseifner(
+                                 comm, std::span<int>(v),
+                                 coll::LocalMinK<int>{});
+                           }),
+                 ArgumentError)
+        << "p=" << p;
+  }
+  mprt::run(4, [](mprt::Comm& comm) {
+    std::vector<int> v(4, comm.rank());
+    EXPECT_THROW(coll::nb::iallreduce(comm, std::span<int>(v),
+                                      coll::LocalMinK<int>{},
+                                      coll::nb::IAllreduceAlgo::kRabenseifner),
+                 ArgumentError);
+  });
+}
+
 TEST(Rabenseifner, MovesLessDataThanTreeForLargePayloads) {
   // The point of the algorithm: per-rank traffic is ~2n elements instead
   // of the tree's ~2n·log2(p) on the root path.  Compare modelled times
@@ -131,20 +162,20 @@ TEST(Rabenseifner, ChunkStartSurvivesHugeElementCounts) {
   // element counts above 2^62 wrapped and chunk boundaries collapsed to 0.
   // The 128-bit form must return exact boundaries right up to SIZE_MAX.
   constexpr std::size_t kHuge = std::size_t{1} << 62;
-  EXPECT_EQ(coll::detail::chunk_start(kHuge, 4, 0), 0u);
-  EXPECT_EQ(coll::detail::chunk_start(kHuge, 4, 1), kHuge / 4);
-  EXPECT_EQ(coll::detail::chunk_start(kHuge, 4, 2), kHuge / 2);
+  EXPECT_EQ(mprt::topology::chunk_start(kHuge, 4, 0), 0u);
+  EXPECT_EQ(mprt::topology::chunk_start(kHuge, 4, 1), kHuge / 4);
+  EXPECT_EQ(mprt::topology::chunk_start(kHuge, 4, 2), kHuge / 2);
   // The old overflow witness: n * c = 2^64 wrapped to 0, so the final
   // boundary came back 0 instead of n and every "chunk" was empty.
-  EXPECT_EQ(coll::detail::chunk_start(kHuge, 4, 4), kHuge);
+  EXPECT_EQ(mprt::topology::chunk_start(kHuge, 4, 4), kHuge);
 
   // c == chunks must always be the exact end of the buffer, and the
   // boundaries must stay monotone, even at SIZE_MAX.
   constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-  EXPECT_EQ(coll::detail::chunk_start(kMax, 16, 16), kMax);
+  EXPECT_EQ(mprt::topology::chunk_start(kMax, 16, 16), kMax);
   std::size_t prev = 0;
   for (int c = 0; c <= 16; ++c) {
-    const std::size_t b = coll::detail::chunk_start(kMax, 16, c);
+    const std::size_t b = mprt::topology::chunk_start(kMax, 16, c);
     EXPECT_GE(b, prev) << "c=" << c;
     prev = b;
   }

@@ -16,9 +16,11 @@
 
 #include <cstdlib>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "coll/local_reduce.hpp"
 #include "mprt/cost_model.hpp"
 #include "mprt/runtime.hpp"
 #include "mprt/sim.hpp"
@@ -507,10 +509,9 @@ RunTraffic counts_reduce_traffic(int p, bool async) {
 // reduce_async runs state_allreduce itself on the progress engine, so
 // under every schedule pin (and the autotuner's own pick) each rank sends
 // the messages and bytes the blocking reduce sends and ends on the same
-// virtual clock.  The clock is compared wherever receives name their
-// source: two_message folds a commutative operator's child states in
-// whichever order they are queued, so its clocks differ by a receive
-// overhead from one run to the next, blocking runs included.
+// virtual clock — two_message's combine-as-available tree included, since
+// it charges its fan-in in arrival-stamp order, not in the order the host
+// queued it.
 TEST(AsyncSchedules, SameTrafficAndFinishAsBlocking) {
   for (const std::string schedule : {"auto", "two_message", "butterfly",
                                      "rabenseifner", "ring", "pipelined"}) {
@@ -520,9 +521,44 @@ TEST(AsyncSchedules, SameTrafficAndFinishAsBlocking) {
       const RunTraffic async = counts_reduce_traffic(p, /*async=*/true);
       EXPECT_EQ(async.messages, blocking.messages) << schedule << " p=" << p;
       EXPECT_EQ(async.bytes, blocking.bytes) << schedule << " p=" << p;
-      if (schedule != "two_message") {
-        EXPECT_EQ(async.clock, blocking.clock) << schedule << " p=" << p;
-      }
+      EXPECT_EQ(async.clock, blocking.clock) << schedule << " p=" << p;
+    }
+  }
+}
+
+// The combine-as-available tree's modelled clocks are a function of the
+// program alone: repeated runs give one clock vector, in the global view
+// (rs::reduce under two_message) and in the local view (kUnorderedTree).
+TEST(AsyncSchedules, CombineAsAvailableClocksRepeat) {
+  mprt::CostModel model;
+  model.compute_scale = 0.0;
+  const auto clocks = [&](bool global) {
+    return mprt::run(
+               8,
+               [&](Comm& comm) {
+                 if (global) {
+                   std::vector<int> mine;
+                   for (int i = 0; i < 64; ++i) {
+                     mine.push_back((comm.rank() * 64 + i) % 4096);
+                   }
+                   (void)rs::reduce(comm, mine, ops::Counts(4096));
+                 } else {
+                   std::vector<long> v(4096, comm.rank());
+                   coll::local_reduce(
+                       comm, 0, std::span<long>(v),
+                       coll::ElementwiseOp<long, coll::Sum<long>>{},
+                       coll::ReduceAlgo::kUnorderedTree);
+                 }
+               },
+               model)
+        .rank_times_s;
+  };
+  EnvGuard g("RSMPI_SCHEDULE", "two_message");
+  for (const bool global : {true, false}) {
+    const std::vector<double> first = clocks(global);
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_EQ(clocks(global), first) << (global ? "global" : "local")
+                                       << " view, run " << i;
     }
   }
 }

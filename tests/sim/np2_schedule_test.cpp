@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "coll/local_reduce.hpp"
-#include "coll/rabenseifner.hpp"
 #include "mprt/runtime.hpp"
 #include "mprt/sim.hpp"
 #include "rs/ops/basic.hpp"

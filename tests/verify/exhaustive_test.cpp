@@ -3,8 +3,9 @@
 // {commutative, noncommutative}, the nonblocking paths, the persistent
 // plan — is driven through every reachable delivery interleaving at
 // p in {2, 3, 4} and checked against the serial oracle, with zero
-// violations.  A fault pass re-explores representative scenarios under
-// every single-message drop/duplicate/reorder and every single-rank kill.
+// violations.  A fault pass re-explores every scenario at p in {2, 3}
+// under every single-message drop/duplicate/reorder and every single-rank
+// kill.
 //
 // Satellite 1 rides here: the noncommutative OrderedWord scenarios must
 // present *zero* schedule freedom (one interleaving, no decisions, no
@@ -101,25 +102,16 @@ TEST(Exhaustive, AllScenariosP5Nightly) {
   explore_all(5, /*with_faults=*/false);
 }
 
-// The fault matrix on representative scenarios: the order-preserving
-// two-message exchange, the unordered nonblocking tree (the scenario with
-// genuine arrival-order freedom), and the production async dispatch.
-// Every message of the canonical run is dropped, duplicated, and
-// reordered once; every send is a kill site.  Benign faults must leave
-// the result bit-identical; lossy faults may surface typed errors (the
-// scheduler's deadlock detector turns would-be hangs into DeadlockError)
-// but must never corrupt a completed rank's result.
-TEST(Exhaustive, FaultPlacementsP2) {
-  for (const Scenario& scenario : {
-           verify::blocking_scenario<rs::ops::Counts>(
-               "counts", 2, rs::detail::Schedule::kTwoMessage),
-           verify::blocking_scenario<verify::OrderedWord>(
-               "word", 2, rs::detail::Schedule::kTwoMessage),
-           verify::nb_tree_scenario<verify::CanonSet>("canon", 2),
-           verify::blocking_scenario<rs::ops::TSQR>(
-               "tsqr", 2, rs::detail::Schedule::kTwoMessage),
-           verify::pipelined_panel_scenario<rs::ops::TSQR>("tsqr", 2),
-       }) {
+// The fault matrix over every standard scenario.  Every message of the
+// canonical run is dropped, duplicated, and reordered once; every send is
+// a kill site.  Benign faults must leave the result bit-identical; lossy
+// faults may surface typed errors (the mailbox holds back the rest of a
+// dropped message's stream, and the scheduler's deadlock detector turns
+// the would-be hang into DeadlockError) but must never corrupt a
+// completed rank's result.
+void explore_faults(int p) {
+  const verify::ScenarioSet set = verify::standard_scenarios(p);
+  for (const Scenario& scenario : set.all()) {
     const Report report = verify::explore(scenario, ExploreLimits{});
     expect_clean(scenario, report);
     EXPECT_GT(report.stats.fault_placements, 0u) << scenario.name;
@@ -127,22 +119,8 @@ TEST(Exhaustive, FaultPlacementsP2) {
   }
 }
 
-TEST(Exhaustive, FaultPlacementsP3) {
-  for (const Scenario& scenario : {
-           verify::blocking_scenario<rs::ops::Counts>(
-               "counts", 3, rs::detail::Schedule::kTwoMessage),
-           verify::blocking_scenario<verify::OrderedWord>(
-               "word", 3, rs::detail::Schedule::kTwoMessage),
-           verify::nb_tree_scenario<verify::CanonSet>("canon", 3),
-           verify::async_scenario<rs::ops::Counts>("counts", 3),
-           verify::blocking_scenario<rs::ops::TSQR>(
-               "tsqr", 3, rs::detail::Schedule::kTwoMessage),
-       }) {
-    const Report report = verify::explore(scenario, ExploreLimits{});
-    expect_clean(scenario, report);
-    EXPECT_GT(report.stats.fault_placements, 0u) << scenario.name;
-  }
-}
+TEST(Exhaustive, FaultPlacementsP2) { explore_faults(2); }
+TEST(Exhaustive, FaultPlacementsP3) { explore_faults(3); }
 
 // The equivalence probe must actually be pruning: the commutative Counts
 // operator's fold orders are byte-identical, so every k-ary-tree join
