@@ -19,6 +19,7 @@
 #include "rs/ops/counts.hpp"
 #include "rs/reduce.hpp"
 #include "util/error.hpp"
+#include "verify/oracle.hpp"
 
 namespace {
 
@@ -217,6 +218,50 @@ TEST(Sequence, OutOfTagOrderReceiveUnderDuplicatesDeliversEachOnce) {
   EXPECT_EQ(got, want);
   EXPECT_EQ(leftovers, 0);
   EXPECT_EQ(suppressed, static_cast<std::uint64_t>(2 * kRounds));
+}
+
+TEST(Sequence, LostMessageHoldsItsStreamUntilAReceiveGivesUp) {
+  Mailbox mb;
+  mb.note_lost(make_msg(0, 5, 1));  // a fault plan dropped seq 1
+  mb.put(make_msg(0, 5, 2));
+  mb.put(make_msg(0, 6, 3));
+  // Only the lost message's (source, tag) stream is held.
+  EXPECT_EQ(mb.take(kWorld, 0, 6).seq, 3u);
+  EXPECT_FALSE(mb.probe(kWorld, 0, 5));
+  EXPECT_FALSE(mb.try_take(kWorld, kAnySource, 5).has_value());
+  // The receive that gave up reported the loss; the stream flows again.
+  mb.forget_lost(kWorld, kAnySource, 5);
+  EXPECT_EQ(mb.take(kWorld, 0, 5).seq, 2u);
+}
+
+TEST(Sequence, TimeoutOnALostMessageLetsTheTagBeReused) {
+  // Drop rank 0's first message; the receive of it times out, and the
+  // next message on the same (source, tag) is then received, not held.
+  verify::RecordingOracle oracle(
+      2, {}, verify::FaultPlacement{verify::FaultPlacement::Kind::kDrop, 0, 0});
+  SimConfig sim;
+  sim.oracle = &oracle;
+  std::vector<int> got;
+  bool timed_out = false;
+  mprt::run(
+      2,
+      [&](Comm& comm) {
+        if (comm.rank() == 0) {
+          comm.send(1, 4, 1);
+          comm.send(1, 4, 2);
+          return;
+        }
+        comm.set_recv_deadline(mprt::RecvDeadline{0.2, 2, 2.0});
+        try {
+          got.push_back(comm.recv<int>(0, 4));
+        } catch (const TimeoutError&) {
+          timed_out = true;
+        }
+        got.push_back(comm.recv<int>(0, 4));
+      },
+      mprt::CostModel{}, sim);
+  EXPECT_TRUE(timed_out);
+  EXPECT_EQ(got, std::vector<int>{2});
 }
 
 TEST(Sequence, LegacyUnsequencedMessagesKeepQueueOrder) {
