@@ -32,7 +32,7 @@ Cost run_separate(int p, int k) {
       }
     });
     best = std::min(best, result.makespan_s);
-    messages = result.total_messages;
+    messages = result.metrics[mprt::Metric::kMessagesSent];
   }
   return {best, messages};
 }
@@ -50,7 +50,7 @@ Cost run_aggregated(int p, int k) {
       coll::local_allreduce(comm, std::span<int>(v), op);
     });
     best = std::min(best, result.makespan_s);
-    messages = result.total_messages;
+    messages = result.metrics[mprt::Metric::kMessagesSent];
   }
   return {best, messages};
 }

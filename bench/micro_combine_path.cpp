@@ -98,31 +98,8 @@ void legacy_butterfly_allreduce(Comm& comm, Op& op, const Op& prototype) {
 
 // --- measurement ------------------------------------------------------------
 
-struct Counters {
-  std::uint64_t allocs = 0;
-  std::uint64_t copies = 0;
-  std::uint64_t sends_moved = 0;
-  std::uint64_t sends_inline = 0;
-  std::uint64_t pool_hits = 0;
-  std::uint64_t pool_misses = 0;
-
-  void capture(const Comm& comm) {
-    allocs = comm.payload_allocs();
-    copies = comm.payload_copies();
-    sends_moved = comm.sends_moved();
-    sends_inline = comm.sends_inline();
-    pool_hits = comm.pool_stats().hits;
-    pool_misses = comm.pool_stats().misses;
-  }
-  void accumulate(const Counters& o) {
-    allocs += o.allocs;
-    copies += o.copies;
-    sends_moved += o.sends_moved;
-    sends_inline += o.sends_inline;
-    pool_hits += o.pool_hits;
-    pool_misses += o.pool_misses;
-  }
-};
+using mprt::Metric;
+using mprt::Metrics;
 
 enum class Schedule { kButterfly, kReduceBcast, kLegacyButterfly };
 
@@ -145,8 +122,8 @@ void run_schedule(Schedule s, Comm& comm, ops::Counts& op,
 struct Sample {
   double critical_path_s = 0.0;  // modelled, one collective, min of 3 reps
   double wall_ms = 0.0;          // host CPU wall time of the counter run
-  Counters cold;                 // first collective, empty pools
-  Counters warm;                 // second collective, recycled pools
+  Metrics cold;                  // first collective, empty pools
+  Metrics warm;                  // second collective, recycled pools
 };
 
 Sample measure(Schedule s, int p, std::size_t buckets) {
@@ -161,8 +138,8 @@ Sample measure(Schedule s, int p, std::size_t buckets) {
         run_schedule(s, comm, op, prototype);
       });
 
-  std::vector<Counters> cold(static_cast<std::size_t>(p));
-  std::vector<Counters> warm(static_cast<std::size_t>(p));
+  std::vector<Metrics> cold(static_cast<std::size_t>(p));
+  std::vector<Metrics> warm(static_cast<std::size_t>(p));
   const auto t0 = std::chrono::steady_clock::now();
   mprt::run(
       p,
@@ -171,18 +148,18 @@ Sample measure(Schedule s, int p, std::size_t buckets) {
         const auto mine = filled_counts(buckets, comm.rank());
         auto pass1 = mine;
         run_schedule(s, comm, pass1, prototype);
-        cold[r].capture(comm);
+        cold[r] = comm.metrics();
         comm.reset_counters();
         auto pass2 = mine;
         run_schedule(s, comm, pass2, prototype);
-        warm[r].capture(comm);
+        warm[r] = comm.metrics();
       },
       bench_model());
   const auto t1 = std::chrono::steady_clock::now();
   out.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count() / 2;
   for (int r = 0; r < p; ++r) {
-    out.cold.accumulate(cold[static_cast<std::size_t>(r)]);
-    out.warm.accumulate(warm[static_cast<std::size_t>(r)]);
+    out.cold.merge(cold[static_cast<std::size_t>(r)]);
+    out.warm.merge(warm[static_cast<std::size_t>(r)]);
   }
   return out;
 }
@@ -202,17 +179,17 @@ int reduce_bcast_rounds(int p) {
 
 // --- JSON emission ----------------------------------------------------------
 
-void emit_counters(const char* label, const Counters& c, const char* indent) {
+void emit_counters(const char* label, const Metrics& c, const char* indent) {
   std::printf("%s\"%s\": {\"payload_allocs\": %llu, \"payload_copies\": %llu, "
               "\"sends_moved\": %llu, \"sends_inline\": %llu, "
               "\"pool_hits\": %llu, \"pool_misses\": %llu}",
               indent, label,
-              static_cast<unsigned long long>(c.allocs),
-              static_cast<unsigned long long>(c.copies),
-              static_cast<unsigned long long>(c.sends_moved),
-              static_cast<unsigned long long>(c.sends_inline),
-              static_cast<unsigned long long>(c.pool_hits),
-              static_cast<unsigned long long>(c.pool_misses));
+              static_cast<unsigned long long>(c[Metric::kPayloadAllocs]),
+              static_cast<unsigned long long>(c[Metric::kPayloadCopies]),
+              static_cast<unsigned long long>(c[Metric::kSendsMoved]),
+              static_cast<unsigned long long>(c[Metric::kSendsInline]),
+              static_cast<unsigned long long>(c[Metric::kPoolHits]),
+              static_cast<unsigned long long>(c[Metric::kPoolMisses]));
 }
 
 }  // namespace
@@ -272,16 +249,18 @@ int main(int argc, char** argv) {
     const int p = procs[i];
     const auto pooled = measure(Schedule::kButterfly, p, buckets);
     const auto legacy = measure(Schedule::kLegacyButterfly, p, buckets);
+    const std::uint64_t legacy_allocs = legacy.warm[Metric::kPayloadAllocs];
+    const std::uint64_t pooled_allocs = pooled.warm[Metric::kPayloadAllocs];
     const double reduction =
-        legacy.warm.allocs == 0
+        legacy_allocs == 0
             ? 0.0
-            : 100.0 * (1.0 - static_cast<double>(pooled.warm.allocs) /
-                                 static_cast<double>(legacy.warm.allocs));
-    std::fprintf(stderr, "%6d %14llu %14llu %13.1f%% %12llu\n", p,
-                 static_cast<unsigned long long>(legacy.warm.allocs),
-                 static_cast<unsigned long long>(pooled.warm.allocs),
-                 reduction,
-                 static_cast<unsigned long long>(legacy.warm.copies));
+            : 100.0 * (1.0 - static_cast<double>(pooled_allocs) /
+                                 static_cast<double>(legacy_allocs));
+    std::fprintf(
+        stderr, "%6d %14llu %14llu %13.1f%% %12llu\n", p,
+        static_cast<unsigned long long>(legacy_allocs),
+        static_cast<unsigned long long>(pooled_allocs), reduction,
+        static_cast<unsigned long long>(legacy.warm[Metric::kPayloadCopies]));
     std::printf("    {\"p\": %d,\n", p);
     std::printf("     \"pooled\": {\"critical_path_us\": %.3f, "
                 "\"wall_ms\": %.3f,\n",

@@ -122,8 +122,9 @@ PointResult measure(const char* op_name, const char* workload,
   pt.wall_ms = std::chrono::duration<double, std::milli>(wall1 - wall0)
                    .count() /
                reps;
-  pt.chunks = result.local_chunks / static_cast<std::uint64_t>(reps);
-  pt.steals = result.local_steals;
+  pt.chunks = result.metrics[mprt::Metric::kParChunks] /
+              static_cast<std::uint64_t>(reps);
+  pt.steals = result.metrics[mprt::Metric::kParSteals];
   pt.identical = identical;
   return pt;
 }

@@ -203,8 +203,8 @@ PointResult measure_base(const PointConfig& cfg) {
   ::unsetenv("RSMPI_LOCAL_THREADS");
   ::unsetenv("RSMPI_LOCAL_GRAIN");
 
-  res.local_threads = run.local_threads;
-  res.local_steals = run.local_steals;
+  res.local_threads = run.metrics[mprt::Metric::kParThreads];
+  res.local_steals = run.metrics[mprt::Metric::kParSteals];
   res.total_events = static_cast<std::uint64_t>(run.user_stats.at("svc.events"));
   res.modelled_events_per_s =
       static_cast<double>(res.total_events) / run.makespan_s;

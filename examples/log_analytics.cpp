@@ -23,8 +23,8 @@
 //
 // The per-shard folds run through the work-stealing local pool
 // (docs/parallel_local.md): RSMPI_LOCAL_THREADS workers per rank chew
-// each routed batch in grain-sized chunks, and the run's "par.*"
-// counters land in RunResult::user_stats next to the svc totals.
+// each routed batch in grain-sized chunks, and the run's "par.*" metric
+// rows land in RunResult::metrics next to the svc totals.
 //
 //   $ ./log_analytics [num_ranks] [epochs] [events_per_rank_epoch]
 #include <cstdio>
@@ -132,11 +132,15 @@ int main(int argc, char** argv) {
   std::printf("modelled: %.2fms makespan, %.1fM events/s aggregate\n",
               res.makespan_s * 1e3,
               stat("svc.events") / res.makespan_s / 1e6);
-  if (res.local_sections > 0) {
-    std::printf("local   : %llu workers/rank, %.0f parallel sections, "
-                "%.0f chunks, %.0f steals\n",
-                static_cast<unsigned long long>(res.local_threads),
-                stat("par.sections"), stat("par.chunks"), stat("par.steals"));
+  const auto row = [&](rsmpi::mprt::Metric m) {
+    return static_cast<unsigned long long>(res.metrics[m]);
+  };
+  using rsmpi::mprt::Metric;
+  if (row(Metric::kParSections) > 0) {
+    std::printf("local   : %llu workers/rank, %llu parallel sections, "
+                "%llu chunks, %llu steals\n",
+                row(Metric::kParThreads), row(Metric::kParSections),
+                row(Metric::kParChunks), row(Metric::kParSteals));
   }
   return 0;
 }

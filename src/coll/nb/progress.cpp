@@ -117,6 +117,7 @@ void ProgressEngine::retire_done() {
 
 bool ProgressEngine::poll() {
   if (ops_.empty()) return false;
+  slot_.op_deadline = std::chrono::steady_clock::time_point::max();
   bool progressed = false;
   for (auto& op : ops_) {
     if (op->step(slot_)) progressed = true;
@@ -148,10 +149,12 @@ void ProgressEngine::observe(std::uint64_t id) {
 void ProgressEngine::wait(std::uint64_t id) {
   while (!is_complete(id)) {
     // A pass with no progress means another rank is still working: park
-    // until the mailbox sees a new event.  The event count is snapshotted
-    // *before* the pass so an arrival mid-pass is never slept through.
+    // until the mailbox sees a new event, or until the earliest receive
+    // deadline an operation waits under, so it sees its slice expire.  The
+    // event count is snapshotted *before* the pass so an arrival mid-pass
+    // is never slept through.
     const std::uint64_t seen = slot_.comm->mail_events();
-    if (!poll()) slot_.comm->idle_wait(seen);
+    if (!poll()) slot_.comm->idle_wait(seen, slot_.op_deadline);
   }
   observe(id);
 }

@@ -95,7 +95,7 @@ PersistentPlan plan_state_allreduce(
     plan.state_bytes = rs::part_state_bytes(prototype);
     plan.segment_bytes = rs::detail::segment_bytes_from_env();
     if (plan.commutative && plan.schedule == Schedule::kAuto) {
-      comm.note_autotune_invocation();
+      comm.note(mprt::Metric::kAutotuneInvocations);
       plan.schedule = rs::detail::choose_allreduce_schedule(
           comm.cost_model(), comm.size(), plan.state_bytes,
           plan.segment_bytes);

@@ -9,21 +9,30 @@
 // only touched from that thread), so no locking is needed here — the
 // cross-thread handoff is synchronized by the mailbox's mutex.
 //
-// Segmented schedules (ISSUE 5) circulate many small chunk buffers next
-// to occasional whole-state ones, so the pool keeps size-class bins
-// (powers of two from 1 KiB to 256 KiB) besides the generic LIFO
-// freelist: a segment-sized acquire is served from its own bin instead of
+// Segmented schedules circulate many small chunk buffers next to
+// occasional whole-state ones, so the pool keeps size-class bins (powers
+// of two from 1 KiB to 256 KiB) besides the generic LIFO freelist: a
+// segment-sized acquire is served from its own bin instead of
 // cannibalizing a pooled whole-state buffer and forcing the next
-// whole-state send to reallocate.  Acquire never misses while *anything*
-// is pooled — it falls back from the exact bin to larger bins, the
-// generic freelist, and finally any nonempty bin — preserving the
+// whole-state send to reallocate.  A buffer that fits is preferred to one
+// that must grow: the tightest fit in the exact bin, then any larger bin,
+// then the tightest fit in the generic freelist.  Acquire never misses
+// while *anything* is pooled — it grows a buffer of the largest nonempty
+// class instead, counted as a regrowth (mprt.pool_regrows) because its
+// reserve is a heap allocation the pool's hit count hides — preserving the
 // zero-alloc steady state the warm-path tests pin down.
+//
+// The pool counts into the owning rank's metrics (mprt/metrics.hpp): pool
+// hits, misses (each also a payload allocation), drops, segment reuses and
+// regrowths.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
+
+#include "mprt/metrics.hpp"
 
 namespace rsmpi::mprt {
 
@@ -43,49 +52,26 @@ class BufferPool {
   static constexpr std::size_t kClassMaxBytes = 256 * 1024;
   static constexpr std::size_t kNumClasses = 9;  // 1K, 2K, ..., 256K
 
-  struct Stats {
-    std::uint64_t hits = 0;    ///< acquire served from the pool
-    std::uint64_t misses = 0;  ///< acquire had to heap-allocate
-    std::uint64_t dropped = 0; ///< release discarded (pool full)
-    /// Acquires with a known size served from that size's own bin — the
-    /// segment-buffer recycling the pipelined/ring schedules rely on.
-    /// A subset of `hits`.
-    std::uint64_t segments_reused = 0;
-  };
-
   /// Returns an empty buffer with at least `reserve_bytes` of capacity,
-  /// reusing a pooled allocation when possible.  LIFO reuse within each
-  /// bin keeps the hottest buffer in circulation.
-  std::vector<std::byte> acquire(std::size_t reserve_bytes) {
-    // Exact bin first: a right-sized buffer, counted as a segment reuse
-    // when the caller asked for a definite size.
+  /// reusing a pooled allocation when possible.
+  std::vector<std::byte> acquire(std::size_t reserve_bytes, Metrics& m) {
     const std::size_t cls = class_of(reserve_bytes);
-    if (cls < kNumClasses && !bins_[cls].empty()) {
-      ++stats_.hits;
-      if (reserve_bytes > 0) ++stats_.segments_reused;
-      return take_from(bins_[cls], reserve_bytes);
-    }
-    // Larger bins next (ascending, tightest fit): already big enough.
-    for (std::size_t c = cls + 1; c < kNumClasses; ++c) {
-      if (!bins_[c].empty()) {
-        ++stats_.hits;
-        return take_from(bins_[c], reserve_bytes);
+    // The tightest pooled buffer that fits: the lists ascend in capacity
+    // from the request's own class to the generic freelist.
+    for (std::size_t c = cls; c <= kNumClasses; ++c) {
+      if (const std::size_t i = tightest(lists_[c], reserve_bytes); i != npos) {
+        return take(c, i, cls, reserve_bytes, m);
       }
     }
-    // Generic freelist (whole-state sized buffers live here).
-    if (!free_.empty()) {
-      ++stats_.hits;
-      return take_from(free_, reserve_bytes);
-    }
-    // Any pooled allocation beats a heap allocation: scan the smaller
-    // bins, largest first (reserve will grow the buffer in place).
-    for (std::size_t c = cls < kNumClasses ? cls : kNumClasses; c-- > 0;) {
-      if (!bins_[c].empty()) {
-        ++stats_.hits;
-        return take_from(bins_[c], reserve_bytes);
+    // None fits, but any pooled allocation beats a fresh one: the latest
+    // buffer of the largest class that holds one grows.
+    for (std::size_t c = kNumClasses + 1; c-- > 0;) {
+      if (!lists_[c].empty()) {
+        return take(c, lists_[c].size() - 1, cls, reserve_bytes, m);
       }
     }
-    ++stats_.misses;
+    m.add(Metric::kPoolMisses);
+    m.add(Metric::kPayloadAllocs);
     std::vector<std::byte> buf;
     buf.reserve(reserve_bytes);
     return buf;
@@ -94,23 +80,14 @@ class BufferPool {
   /// Returns a buffer to its size-class bin (or the generic freelist for
   /// large buffers) for reuse.  Empty buffers (no allocation to recycle)
   /// and overflow beyond the bin caps are dropped.
-  void release(std::vector<std::byte>&& buf) {
-    const std::size_t cap = buf.capacity();
-    if (cap == 0) return;
-    if (cap <= kClassMaxBytes) {
-      auto& bin = bins_[class_of(cap)];
-      if (bin.size() >= per_class_cap_) {
-        ++stats_.dropped;
-        return;
-      }
-      bin.push_back(std::move(buf));
+  void release(std::vector<std::byte>&& buf, Metrics& m) {
+    if (buf.capacity() == 0) return;
+    const std::size_t c = class_of(buf.capacity());
+    if (lists_[c].size() >= (c < kNumClasses ? per_class_cap_ : generic_cap_)) {
+      m.add(Metric::kPoolDropped);
       return;
     }
-    if (free_.size() >= generic_cap_) {
-      ++stats_.dropped;
-      return;
-    }
-    free_.push_back(std::move(buf));
+    lists_[c].push_back(std::move(buf));
   }
 
   /// Raises the retention caps so at least `buffers` released buffers
@@ -125,14 +102,12 @@ class BufferPool {
     if (buffers > generic_cap_) generic_cap_ = buffers;
   }
 
-  [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t per_class_cap() const { return per_class_cap_; }
   [[nodiscard]] std::size_t size() const {
-    std::size_t n = free_.size();
-    for (const auto& bin : bins_) n += bin.size();
+    std::size_t n = 0;
+    for (const auto& list : lists_) n += list.size();
     return n;
   }
-  void reset_stats() { stats_ = Stats{}; }
 
  private:
   /// Size class covering `bytes`, or kNumClasses for over-kClassMaxBytes.
@@ -146,20 +121,46 @@ class BufferPool {
     return c;
   }
 
-  static std::vector<std::byte> take_from(
-      std::vector<std::vector<std::byte>>& list, std::size_t reserve_bytes) {
-    std::vector<std::byte> buf = std::move(list.back());
-    list.pop_back();
+  using List = std::vector<std::vector<std::byte>>;
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  /// Index of the smallest buffer in `list` holding `bytes`, the latest
+  /// released among equals; npos when none does.
+  [[nodiscard]] static std::size_t tightest(const List& list,
+                                            std::size_t bytes) {
+    std::size_t best = npos;
+    for (std::size_t i = list.size(); i-- > 0;) {
+      const std::size_t cap = list[i].capacity();
+      if (cap >= bytes && (best == npos || cap < list[best].capacity())) {
+        best = i;
+      }
+    }
+    return best;
+  }
+
+  /// Hands out buffer `i` of list `c` for a request of class `cls`,
+  /// growing it if it is too small.
+  std::vector<std::byte> take(std::size_t c, std::size_t i, std::size_t cls,
+                              std::size_t reserve_bytes, Metrics& m) {
+    m.add(Metric::kPoolHits);
+    if (c == cls && c < kNumClasses && reserve_bytes > 0) {
+      m.add(Metric::kSegmentsReused);
+    }
+    List& list = lists_[c];
+    std::vector<std::byte> buf = std::move(list[i]);
+    list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
     buf.clear();
-    buf.reserve(reserve_bytes);
+    if (buf.capacity() < reserve_bytes) {
+      m.add(Metric::kPoolRegrows);
+      buf.reserve(reserve_bytes);
+    }
     return buf;
   }
 
-  std::vector<std::vector<std::byte>> free_;
-  std::vector<std::vector<std::byte>> bins_[kNumClasses];
+  /// The size-class bins, then the generic freelist (index kNumClasses).
+  List lists_[kNumClasses + 1];
   std::size_t per_class_cap_ = kMaxPerClass;
   std::size_t generic_cap_ = kMaxPooled;
-  Stats stats_;
 };
 
 }  // namespace rsmpi::mprt

@@ -103,9 +103,9 @@ void Comm::charge_send(int dest_global, std::size_t nbytes) {
   state_->clock.advance(m.send_overhead_between(global_rank_, dest_global));
   if (m.two_tier()) {
     if (m.same_node(global_rank_, dest_global)) {
-      state_->intra_node_bytes += nbytes;
+      state_->metrics.add(Metric::kIntraNodeBytes, nbytes);
     } else {
-      state_->inter_node_bytes += nbytes;
+      state_->metrics.add(Metric::kInterNodeBytes, nbytes);
     }
   }
 }
@@ -120,8 +120,8 @@ void Comm::send_bytes(int dest, int tag, std::span<const std::byte> payload) {
     // The copy into a fresh heap buffer is the cost the move-based
     // overload exists to avoid; count it, and charge it *before* stamping
     // the arrival time — the payload cannot hit the wire until copied.
-    state_->payload_allocs += 1;
-    state_->payload_copies += 1;
+    state_->metrics.add(Metric::kPayloadAllocs);
+    state_->metrics.add(Metric::kPayloadCopies);
     state_->clock.advance(static_cast<double>(payload.size()) *
                           m.copy_per_byte_s);
   }
@@ -134,11 +134,11 @@ void Comm::send_bytes(int dest, int tag, std::span<const std::byte> payload) {
       state_->clock.now() +
       m.wire_time_between(global_rank_, dest_global, payload.size());
   if (msg.assign_payload(payload)) {
-    state_->sends_inline += 1;
+    state_->metrics.add(Metric::kSendsInline);
   }
 
-  state_->sent_count += 1;
-  state_->sent_bytes += payload.size();
+  state_->metrics.add(Metric::kMessagesSent);
+  state_->metrics.add(Metric::kBytesSent, payload.size());
   deliver(dest, std::move(msg));
 }
 
@@ -159,25 +159,20 @@ void Comm::send_bytes(int dest, int tag, std::vector<std::byte>&& payload) {
   const std::size_t nbytes = payload.size();
   std::vector<std::byte> leftover = msg.adopt_payload(std::move(payload));
   if (nbytes <= Message::kInlineCapacity) {
-    state_->sends_inline += 1;
+    state_->metrics.add(Metric::kSendsInline);
     // The caller's buffer was not adopted; keep its capacity in our pool.
-    state_->pool.release(std::move(leftover));
+    state_->pool.release(std::move(leftover), state_->metrics);
   } else {
-    state_->sends_moved += 1;
+    state_->metrics.add(Metric::kSendsMoved);
   }
 
-  state_->sent_count += 1;
-  state_->sent_bytes += nbytes;
+  state_->metrics.add(Metric::kMessagesSent);
+  state_->metrics.add(Metric::kBytesSent, nbytes);
   deliver(dest, std::move(msg));
 }
 
 std::vector<std::byte> Comm::acquire_buffer(std::size_t reserve_bytes) {
-  const std::uint64_t misses_before = state_->pool.stats().misses;
-  std::vector<std::byte> buf = state_->pool.acquire(reserve_bytes);
-  if (state_->pool.stats().misses != misses_before) {
-    state_->payload_allocs += 1;
-  }
-  return buf;
+  return state_->pool.acquire(reserve_bytes, state_->metrics);
 }
 
 Message Comm::take_blocking(int source, int tag) {
@@ -196,7 +191,7 @@ Message Comm::take_blocking(int source, int tag) {
   for (int attempt = 0; attempt < retries; ++attempt) {
     auto msg = box.take_for(context_, source, tag, slice);
     if (msg.has_value()) return std::move(*msg);
-    state_->recv_retry_count += 1;
+    state_->metrics.add(Metric::kRecvRetries);
     slice *= b;
   }
   box.forget_lost(context_, source, tag);  // the loss is reported here
@@ -217,8 +212,8 @@ Message Comm::take_message(int source, int tag) {
                         " out of range [0, " + std::to_string(size()) + ")");
   }
   Message msg = take_blocking(source, tag);
-  state_->recv_count += 1;
-  state_->recv_bytes += msg.payload_size();
+  state_->metrics.add(Metric::kMessagesReceived);
+  state_->metrics.add(Metric::kBytesReceived, msg.payload_size());
   return msg;
 }
 
@@ -237,26 +232,7 @@ double Comm::recv_overhead_from(int source_group_rank) const {
       global_rank_, group_[static_cast<std::size_t>(source_group_rank)]);
 }
 
-std::uint64_t Comm::duplicates_suppressed() const {
-  return runtime_.mailbox(global_rank_).duplicates_suppressed();
-}
-
-SimStats Comm::sim_stats() const {
-  if (ChaosController* chaos = runtime_.chaos()) return chaos->stats();
-  return SimStats{};
-}
-
-std::uint64_t Comm::virtual_workers() const {
-  return static_cast<std::uint64_t>(runtime_.scheduler()->workers());
-}
-
-std::uint64_t Comm::parked_ranks() const {
-  return static_cast<std::uint64_t>(runtime_.scheduler()->peak_parked());
-}
-
-std::uint64_t Comm::park_events() const {
-  return runtime_.scheduler()->park_events();
-}
+Metrics Comm::metrics() const { return runtime_.metrics(global_rank_); }
 
 ScheduleOracle* Comm::schedule_oracle() const {
   if (ChaosController* chaos = runtime_.chaos()) return chaos->oracle();
@@ -267,8 +243,9 @@ std::uint64_t Comm::mail_events() const {
   return runtime_.mailbox(global_rank_).event_count();
 }
 
-void Comm::idle_wait(std::uint64_t seen_events) {
-  runtime_.mailbox(global_rank_).idle_wait(seen_events);
+void Comm::idle_wait(std::uint64_t seen_events,
+                     std::chrono::steady_clock::time_point deadline) {
+  runtime_.mailbox(global_rank_).idle_wait(seen_events, deadline);
 }
 
 void Comm::yield_rank() { runtime_.mailbox(global_rank_).yield_owner(); }
@@ -293,8 +270,8 @@ std::optional<Message> Comm::try_recv_message(int source, int tag) {
   }
   auto msg = runtime_.mailbox(global_rank_).try_take(context_, source, tag);
   if (msg.has_value()) {
-    state_->recv_count += 1;
-    state_->recv_bytes += msg->payload_size();
+    state_->metrics.add(Metric::kMessagesReceived);
+    state_->metrics.add(Metric::kBytesReceived, msg->payload_size());
     charge_receive(*msg);
   }
   return msg;

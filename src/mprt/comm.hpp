@@ -10,6 +10,7 @@
 // subcommunicators.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -25,6 +26,7 @@
 #include "mprt/cost_model.hpp"
 #include "mprt/mailbox.hpp"
 #include "mprt/message.hpp"
+#include "mprt/metrics.hpp"
 #include "mprt/sim.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
@@ -47,8 +49,8 @@ struct RecvDeadline {
 };
 
 /// Per-rank mutable state shared by every communicator of that rank: the
-/// virtual clock, the traffic counters and the payload buffer pool.
-/// Owned by the runtime; only touched by the rank itself.
+/// virtual clock, the rank's metrics and the payload buffer pool.  Owned
+/// by the runtime; only touched by the rank itself.
 struct RankState {
   VirtualClock clock;
   /// Last sequence number sent on each (context, destination) channel; the
@@ -56,40 +58,13 @@ struct RankState {
   /// let the receiving mailbox keep what it delivered as a few ranges.
   std::unordered_map<Channel, std::uint64_t, ChannelHash> sent_seqs;
   std::optional<RecvDeadline> recv_deadline;
-  std::uint64_t recv_retry_count = 0;  ///< deadline slices that expired
-  std::uint64_t sent_count = 0;
-  std::uint64_t sent_bytes = 0;
-  std::uint64_t recv_count = 0;
-  std::uint64_t recv_bytes = 0;
-  // Combine-phase allocation observability (ISSUE 3): how many payload
-  // buffers this rank heap-allocated, how many payload byte-copies it
-  // made, and how many sends avoided both via move or inline storage.
-  std::uint64_t payload_allocs = 0;  ///< heap buffers allocated for payloads
-  std::uint64_t payload_copies = 0;  ///< sender-side full-payload copies
-  std::uint64_t sends_moved = 0;     ///< sends that adopted the caller's buffer
-  std::uint64_t sends_inline = 0;    ///< sends stored inline (<= 64 B)
-  BufferPool pool;                   ///< recycled payload buffers (rank-local)
-  /// Cost-model schedule selections made on this rank (autotuner argmins).
-  /// Persistent collectives pay exactly one at plan time; a warm epoch loop
-  /// holding this counter flat is the "zero warm-path planning" evidence.
-  std::uint64_t autotune_invocations = 0;
+  /// This rank's values of the metrics table (mprt/metrics.hpp).
+  Metrics metrics;
+  BufferPool pool;  ///< recycled payload buffers (rank-local)
   /// (name, value) pairs published via Comm::publish_stat; summed by name
   /// into RunResult::user_stats after the join.  The channel through which
-  /// higher layers (e.g. svc::StatCollector) surface their aggregates.
+  /// higher layers (e.g. svc::StatCollector) surface their own aggregates.
   std::vector<std::pair<std::string, double>> published_stats;
-  // Parallel local-accumulate observability (ISSUE 8): sections run
-  // through the src/par/ worker pool, chunks executed, successful
-  // steal-half operations, and the widest pool any section used.  All
-  // stay 0 unless RSMPI_LOCAL_THREADS enables the pool.
-  std::uint64_t par_sections = 0;
-  std::uint64_t par_chunks = 0;
-  std::uint64_t par_steals = 0;
-  std::uint64_t par_threads = 0;  ///< max pool width over sections
-  // Two-level topology observability (ISSUE 10): payload bytes this rank
-  // sent to peers on the same modelled node vs across nodes.  Both stay 0
-  // when the cost model is flat (ranks_per_node <= 1).
-  std::uint64_t intra_node_bytes = 0;
-  std::uint64_t inter_node_bytes = 0;
 };
 
 /// Identity/status returned by receives that used wildcards.  `source` is
@@ -147,7 +122,7 @@ class Comm {
   /// non-blocking: returns as soon as the payload is enqueued at the
   /// destination mailbox.  Charges send overhead to this clock and stamps
   /// the message with its modelled arrival time.  This overload *copies*
-  /// the payload (counted in payload_copies; also charged at
+  /// the payload (counted in mprt.payload_copies; also charged at
   /// CostModel::copy_per_byte_s when nonzero).
   void send_bytes(int dest, int tag, std::span<const std::byte> payload);
 
@@ -160,7 +135,8 @@ class Comm {
   // -- Payload buffer pool -------------------------------------------------
 
   /// An empty buffer with at least `reserve_bytes` capacity from this
-  /// rank's pool (heap-allocating, and counting payload_allocs, on miss).
+  /// rank's pool (heap-allocating, and counting mprt.payload_allocs, on
+  /// miss).
   [[nodiscard]] std::vector<std::byte> acquire_buffer(
       std::size_t reserve_bytes);
 
@@ -171,12 +147,7 @@ class Comm {
   ///   ... combine out of msg.payload() ...
   ///   comm.recycle_buffer(msg.release_storage());
   void recycle_buffer(std::vector<std::byte>&& storage) {
-    state_->pool.release(std::move(storage));
-  }
-
-  /// Pool statistics (hits/misses/dropped) for tests and benchmarks.
-  [[nodiscard]] const BufferPool::Stats& pool_stats() const {
-    return state_->pool.stats();
+    state_->pool.release(std::move(storage), state_->metrics);
   }
 
   /// Raises this rank's pool retention caps so at least `buffers`
@@ -198,15 +169,6 @@ class Comm {
   [[nodiscard]] const std::optional<RecvDeadline>& recv_deadline() const {
     return state_->recv_deadline;
   }
-  /// Deadline slices that expired and were retried (observability).
-  [[nodiscard]] std::uint64_t recv_retries() const {
-    return state_->recv_retry_count;
-  }
-
-  /// Duplicate deliveries this rank's mailbox suppressed via sequence
-  /// numbers (observability; nonzero only under fault plans or manual
-  /// duplicate injection).
-  [[nodiscard]] std::uint64_t duplicates_suppressed() const;
 
   /// Blocks until a message matching (source, tag) on this communicator
   /// arrives; merges the message's arrival time into this clock and
@@ -451,88 +413,62 @@ class Comm {
   /// Returns a fresh tag for one collective invocation.
   int next_collective_tag() { return reserve_collective_tags(1); }
 
-  // -- Counters (observability; used by tests and benchmarks) -------------
+  // -- Metrics (mprt/metrics.hpp) ------------------------------------------
 
+  /// A snapshot of this rank's metrics, with the rows that live elsewhere
+  /// (duplicates its mailbox suppressed, the scheduler's and the fault
+  /// plan's run-wide values) read now.  Safe to call mid-run, without
+  /// communication.
+  [[nodiscard]] Metrics metrics() const;
+
+  /// Folds `value` into this rank's row `m` by the row's merge rule; the
+  /// increment site of a counter outside mprt.
+  void note(Metric m, std::uint64_t value = 1) {
+    state_->metrics.add(m, value);
+  }
+
+  /// Zeroes this rank's counters, to measure one phase of a run.
+  void reset_counters() { state_->metrics = Metrics{}; }
+
+  // Single rows, read by the benchmark harness (perfbench/).
+  struct PoolStats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+  [[nodiscard]] PoolStats pool_stats() const {
+    return {state_->metrics[Metric::kPoolHits],
+            state_->metrics[Metric::kPoolMisses]};
+  }
   [[nodiscard]] std::uint64_t messages_sent() const {
-    return state_->sent_count;
+    return state_->metrics[Metric::kMessagesSent];
   }
-  [[nodiscard]] std::uint64_t bytes_sent() const { return state_->sent_bytes; }
+  [[nodiscard]] std::uint64_t bytes_sent() const {
+    return state_->metrics[Metric::kBytesSent];
+  }
   [[nodiscard]] std::uint64_t messages_received() const {
-    return state_->recv_count;
+    return state_->metrics[Metric::kMessagesReceived];
   }
-  [[nodiscard]] std::uint64_t bytes_received() const {
-    return state_->recv_bytes;
-  }
-
-  /// Heap buffers this rank allocated for message payloads (span-based
-  /// sends plus pool misses of acquire_buffer).
   [[nodiscard]] std::uint64_t payload_allocs() const {
-    return state_->payload_allocs;
+    return state_->metrics[Metric::kPayloadAllocs];
   }
-  /// Full-payload byte copies made on the send side (span-based sends).
-  [[nodiscard]] std::uint64_t payload_copies() const {
-    return state_->payload_copies;
-  }
-  /// Sends that adopted the caller's buffer without copying.
-  [[nodiscard]] std::uint64_t sends_moved() const {
-    return state_->sends_moved;
-  }
-  /// Sends whose payload fit in the message's inline storage.
-  [[nodiscard]] std::uint64_t sends_inline() const {
-    return state_->sends_inline;
-  }
-
-  /// Cost-model schedule selections made on this rank (see
-  /// RankState::autotune_invocations).
   [[nodiscard]] std::uint64_t autotune_invocations() const {
-    return state_->autotune_invocations;
+    return state_->metrics[Metric::kAutotuneInvocations];
   }
-  /// Records one autotuner argmin; called by the schedule-dispatch layer.
-  void note_autotune_invocation() { state_->autotune_invocations += 1; }
-
-  /// Records one parallel local-accumulate section (par::accumulate_indexed
-  /// after a pooled run); run() aggregates these into RunResult.
-  void note_parallel_section(unsigned threads, std::uint64_t chunks,
-                             std::uint64_t steals) {
-    state_->par_sections += 1;
-    state_->par_chunks += chunks;
-    state_->par_steals += steals;
-    if (threads > state_->par_threads) state_->par_threads = threads;
-  }
-  /// Parallel accumulate sections this rank ran through the worker pool.
   [[nodiscard]] std::uint64_t local_parallel_sections() const {
-    return state_->par_sections;
+    return state_->metrics[Metric::kParSections];
   }
-  /// Chunks executed across this rank's parallel sections.
   [[nodiscard]] std::uint64_t local_chunks() const {
-    return state_->par_chunks;
+    return state_->metrics[Metric::kParChunks];
   }
-  /// Successful steal-half operations across this rank's sections.
   [[nodiscard]] std::uint64_t local_steals() const {
-    return state_->par_steals;
+    return state_->metrics[Metric::kParSteals];
   }
-  /// Widest worker pool any parallel section on this rank used (0 if the
-  /// pool never engaged).
-  [[nodiscard]] std::uint64_t local_threads() const {
-    return state_->par_threads;
+  [[nodiscard]] std::uint64_t recv_retries() const {
+    return state_->metrics[Metric::kRecvRetries];
   }
-
-  /// Payload bytes this rank sent to peers on the same modelled node /
-  /// across nodes (ISSUE 10).  Both stay 0 under a flat cost model.
-  [[nodiscard]] std::uint64_t intra_node_bytes() const {
-    return state_->intra_node_bytes;
+  [[nodiscard]] std::uint64_t park_events() const {
+    return metrics()[Metric::kParkEvents];
   }
-  [[nodiscard]] std::uint64_t inter_node_bytes() const {
-    return state_->inter_node_bytes;
-  }
-
-  /// Scheduler snapshot: OS worker threads the ranks are multiplexed onto,
-  /// peak simultaneously-parked ranks, and total park transitions so far.
-  /// Engine-wide (not per-rank) counters, but readable mid-run without
-  /// communication, like the rest of the snapshot accessors.
-  [[nodiscard]] std::uint64_t virtual_workers() const;
-  [[nodiscard]] std::uint64_t parked_ranks() const;
-  [[nodiscard]] std::uint64_t park_events() const;
 
   /// Publishes a named metric from this rank; after the join, run() sums
   /// same-named entries across ranks into RunResult::user_stats.  Publish
@@ -541,12 +477,6 @@ class Comm {
   void publish_stat(std::string name, double value) {
     state_->published_stats.emplace_back(std::move(name), value);
   }
-
-  /// Live snapshot of the run's fault-injection statistics (all zero when
-  /// no fault plan is active).  Safe to call mid-run, which is what lets a
-  /// long-lived service report chaos counters per epoch instead of only at
-  /// RunResult teardown.
-  [[nodiscard]] SimStats sim_stats() const;
 
   // -- Model-checking hooks (ISSUE 7) -------------------------------------
 
@@ -560,8 +490,10 @@ class Comm {
   [[nodiscard]] std::uint64_t mail_events() const;
 
   /// Parks this rank until its mailbox sees an event newer than
-  /// `seen_events`.  Throws DeadlockError when no rank can ever send.
-  void idle_wait(std::uint64_t seen_events);
+  /// `seen_events`, or until `deadline`.  Throws DeadlockError when no rank
+  /// can ever send.
+  void idle_wait(std::uint64_t seen_events,
+                 std::chrono::steady_clock::time_point deadline);
 
   /// Steps this rank aside without parking, as a poll that finds nothing
   /// does: it stays runnable and resumes after the other ready ranks.
@@ -584,18 +516,6 @@ class Comm {
   /// the dead shard's streams degraded while others keep flowing.
   [[nodiscard]] std::vector<int> lost_peers() const;
 
-  void reset_counters() {
-    state_->sent_count = 0;
-    state_->sent_bytes = 0;
-    state_->recv_count = 0;
-    state_->recv_bytes = 0;
-    state_->payload_allocs = 0;
-    state_->payload_copies = 0;
-    state_->sends_moved = 0;
-    state_->sends_inline = 0;
-    state_->pool.reset_stats();
-  }
-
  private:
   /// Subcommunicator constructor; used by split().
   Comm(Runtime& runtime, int global_rank, std::int64_t context,
@@ -611,7 +531,7 @@ class Comm {
   void deliver(int dest, Message&& msg);
 
   /// Charges the tier-resolved send overhead and counts the payload against
-  /// the intra-/inter-node byte counters (two-tier models only).
+  /// the tier.intra_bytes / tier.inter_bytes rows (two-tier models only).
   void charge_send(int dest_global, std::size_t nbytes);
 
   /// Tier-resolved receive overhead for a message from `source_group_rank`.

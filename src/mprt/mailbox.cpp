@@ -310,17 +310,21 @@ std::uint64_t Mailbox::event_count() const {
   return events_;
 }
 
-void Mailbox::idle_wait(std::uint64_t seen_events) {
+void Mailbox::idle_wait(std::uint64_t seen_events,
+                        std::chrono::steady_clock::time_point deadline) {
   // `seen_events` predates the caller's fruitless progress pass, so a newer
   // event means a message may have arrived mid-pass: return and let the
   // caller poll again rather than park on stale information.
+  const bool timed = deadline != std::chrono::steady_clock::time_point::max();
   std::unique_lock lock(mutex_);
   for (;;) {
     if (aborted_) {
       throw AbortError("mailbox: runtime aborted while waiting for progress");
     }
     if (events_ != seen_events) return;
-    wait_for_event_locked(lock, nullptr, "polling nonblocking operations");
+    if (timed && std::chrono::steady_clock::now() >= deadline) return;
+    wait_for_event_locked(lock, timed ? &deadline : nullptr,
+                          "polling nonblocking operations");
   }
 }
 

@@ -168,10 +168,11 @@ class Mailbox {
   [[nodiscard]] std::uint64_t event_count() const;
 
   /// Parks the owning rank until this mailbox sees an event newer than
-  /// `seen_events`: the progress engine's wait between fruitless passes.
-  /// Throws AbortError when the runtime is torn down and DeadlockError
-  /// when no rank can ever send again.
-  void idle_wait(std::uint64_t seen_events);
+  /// `seen_events`, or until `deadline` (time_point::max() for none): the
+  /// progress engine's wait between fruitless passes.  Throws AbortError when the runtime is torn
+  /// down and DeadlockError when no rank can ever send again.
+  void idle_wait(std::uint64_t seen_events,
+                 std::chrono::steady_clock::time_point deadline);
 
   /// Installs the owner's park/resume endpoint.  Set once before the
   /// run's workers start.

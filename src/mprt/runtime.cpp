@@ -62,6 +62,27 @@ RankState& Runtime::rank_state(int global_rank) {
   return states_[static_cast<std::size_t>(global_rank)];
 }
 
+Metrics Runtime::metrics(int global_rank) const {
+  const auto r = static_cast<std::size_t>(global_rank);
+  Metrics m = states_[r].metrics;
+  m[Metric::kDuplicatesSuppressed] = mailboxes_[r]->duplicates_suppressed();
+  if (scheduler_ != nullptr) {
+    m[Metric::kWorkers] = static_cast<std::uint64_t>(scheduler_->workers());
+    m[Metric::kParkedRanks] =
+        static_cast<std::uint64_t>(scheduler_->peak_parked());
+    m[Metric::kParkEvents] = scheduler_->park_events();
+  }
+  if (chaos_ != nullptr) {
+    const SimStats sim = chaos_->stats();
+    m[Metric::kChaosDropped] = sim.dropped;
+    m[Metric::kChaosDuplicated] = sim.duplicated;
+    m[Metric::kChaosDelayed] = sim.delayed;
+    m[Metric::kChaosReordered] = sim.reordered;
+    m[Metric::kChaosRankKilled] = sim.rank_killed ? 1 : 0;
+  }
+  return m;
+}
+
 void Runtime::abort_all() {
   for (auto& mb : mailboxes_) mb->abort();
 }
@@ -114,10 +135,11 @@ RunResult run(int num_ranks, const std::function<void(Comm&)>& body,
     }
     runtime.set_scheduler(&sched);
     sched.run(rank_main);
+    // Every rank has finished, so each snapshot is final.
+    for (int r = 0; r < num_ranks; ++r) {
+      result.metrics.merge(runtime.metrics(r));
+    }
     runtime.set_scheduler(nullptr);
-    result.workers = static_cast<std::uint64_t>(sched.workers());
-    result.parked_ranks = static_cast<std::uint64_t>(sched.peak_parked());
-    result.park_events = sched.park_events();
   }
 
   // Rethrow the first real (non-cascade) failure, preferring low ranks so
@@ -145,42 +167,9 @@ RunResult run(int num_ranks, const std::function<void(Comm&)>& body,
     const double t = s.clock.now();
     result.rank_times_s.push_back(t);
     if (t > result.makespan_s) result.makespan_s = t;
-    result.total_messages += s.sent_count;
-    result.total_bytes += s.sent_bytes;
-    result.duplicates_suppressed += runtime.mailbox(r).duplicates_suppressed();
-    result.segments_reused += s.pool.stats().segments_reused;
-    result.autotune_invocations += s.autotune_invocations;
-    result.payload_allocs += s.payload_allocs;
-    result.local_sections += s.par_sections;
-    result.local_chunks += s.par_chunks;
-    result.local_steals += s.par_steals;
-    result.intra_node_bytes += s.intra_node_bytes;
-    result.inter_node_bytes += s.inter_node_bytes;
-    if (s.par_threads > result.local_threads) {
-      result.local_threads = s.par_threads;
-    }
     for (const auto& [name, value] : s.published_stats) {
       result.user_stats[name] += value;
     }
-  }
-  if (result.local_sections > 0) {
-    result.user_stats["par.sections"] +=
-        static_cast<double>(result.local_sections);
-    result.user_stats["par.chunks"] += static_cast<double>(result.local_chunks);
-    result.user_stats["par.steals"] += static_cast<double>(result.local_steals);
-    result.user_stats["par.threads"] +=
-        static_cast<double>(result.local_threads);
-  }
-  result.user_stats["rt.workers"] += static_cast<double>(result.workers);
-  result.user_stats["rt.parked_ranks"] +=
-      static_cast<double>(result.parked_ranks);
-  result.user_stats["rt.park_events"] +=
-      static_cast<double>(result.park_events);
-  if (model.two_tier()) {
-    result.user_stats["tier.intra_bytes"] +=
-        static_cast<double>(result.intra_node_bytes);
-    result.user_stats["tier.inter_bytes"] +=
-        static_cast<double>(result.inter_node_bytes);
   }
   if (ChaosController* chaos = runtime.chaos()) {
     result.sim = chaos->stats();

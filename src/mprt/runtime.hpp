@@ -12,6 +12,7 @@
 #include "mprt/comm.hpp"
 #include "mprt/cost_model.hpp"
 #include "mprt/mailbox.hpp"
+#include "mprt/metrics.hpp"
 #include "mprt/sim.hpp"
 
 namespace rsmpi::mprt {
@@ -36,6 +37,12 @@ class Runtime {
   [[nodiscard]] Mailbox& mailbox(int global_rank);
   [[nodiscard]] RankState& rank_state(int global_rank);
 
+  /// Rank `global_rank`'s metrics with the rows that live elsewhere filled
+  /// in now: its mailbox's suppressed duplicates, the scheduler's workers,
+  /// peak parked ranks and park events (while a run installs one), and the
+  /// fault plan's totals.
+  [[nodiscard]] Metrics metrics(int global_rank) const;
+
   /// Fail-fast teardown: unblocks every rank's pending receive with
   /// AbortError so a single throwing rank cannot deadlock the machine.
   void abort_all();
@@ -47,8 +54,8 @@ class Runtime {
 
   /// The run's fiber scheduler, installed by run() for the duration of
   /// the worker pool's execution — that is, whenever a rank body runs — so
-  /// mid-run stat readers (Comm accessors, RSMPI_GetStats) can snapshot
-  /// the park counters; its counters are safe to read from rank fibers.
+  /// mid-run metric snapshots can read the park counters; its counters are
+  /// safe to read from rank fibers.
   void set_scheduler(VirtualScheduler* sched) { scheduler_ = sched; }
   [[nodiscard]] VirtualScheduler* scheduler() const { return scheduler_; }
 
@@ -67,50 +74,15 @@ struct RunResult {
   double makespan_s = 0.0;
   /// Final virtual clock of each rank.
   std::vector<double> rank_times_s;
-  /// Total messages / payload bytes sent by all ranks.
-  std::uint64_t total_messages = 0;
-  std::uint64_t total_bytes = 0;
   /// Fault-injection statistics (all zero when no fault plan was active).
   SimStats sim;
-  /// Duplicate deliveries suppressed by mailbox sequence numbers, summed
-  /// over ranks.
-  std::uint64_t duplicates_suppressed = 0;
-  /// Buffer-pool acquires served from a size-class bin matching the
-  /// requested size, summed over ranks — the segment-buffer recycling the
-  /// segmented schedules (ring / pipelined) rely on.
-  std::uint64_t segments_reused = 0;
-  /// Cost-model schedule selections (autotuner argmins), summed over ranks.
-  /// Persistent collectives plan once, so warm epoch loops contribute 0.
-  std::uint64_t autotune_invocations = 0;
-  /// Heap buffers allocated for message payloads, summed over ranks.
-  std::uint64_t payload_allocs = 0;
-  /// Parallel local-accumulate counters (the src/par/ work-stealing pool;
-  /// all 0 unless RSMPI_LOCAL_THREADS enabled it): pool sections, chunks
-  /// and steals summed over ranks, and the widest pool any rank used.
-  /// Mirrored into user_stats as "par.sections" / "par.chunks" /
-  /// "par.steals" / "par.threads" when any section ran, so stat readers
-  /// (RSMPI_GetStats, benches) see them uniformly.
-  std::uint64_t local_sections = 0;
-  std::uint64_t local_chunks = 0;
-  std::uint64_t local_steals = 0;
-  std::uint64_t local_threads = 0;
+  /// The metrics table over the whole run: every rank's final snapshot,
+  /// merged row by row by the row's rule (mprt/metrics.hpp).
+  Metrics metrics;
   /// Metrics published by the rank bodies via Comm::publish_stat, summed
   /// by name across ranks — how service-layer collectors (svc::
   /// StatCollector) surface their aggregates through the run result.
   std::map<std::string, double> user_stats;
-  /// Scheduler counters: OS worker threads the ranks were multiplexed
-  /// onto, peak simultaneously-parked ranks, and total park transitions
-  /// through the scheduler gate.  Mirrored into user_stats as
-  /// "rt.workers" / "rt.parked_ranks" / "rt.park_events".
-  std::uint64_t workers = 0;
-  std::uint64_t parked_ranks = 0;
-  std::uint64_t park_events = 0;
-  /// Per-tier traffic split (two-level topology; both 0 unless the cost
-  /// model sets ranks_per_node > 1): payload bytes sent between ranks
-  /// sharing a modelled node vs crossing nodes.  Mirrored into user_stats
-  /// as "tier.intra_bytes" / "tier.inter_bytes" when the model is tiered.
-  std::uint64_t intra_node_bytes = 0;
-  std::uint64_t inter_node_bytes = 0;
 };
 
 /// How run() executes its ranks.

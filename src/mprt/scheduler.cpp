@@ -50,6 +50,9 @@ struct VirtualScheduler::Impl {
     void park(std::unique_lock<std::mutex>& lock,
               const Clock::time_point* deadline) override {
       if (Fiber* op = f->slot.op_fiber) {
+        if (deadline != nullptr) {
+          f->slot.op_deadline = std::min(f->slot.op_deadline, *deadline);
+        }
         lock.unlock();
         op->suspend();
         lock.lock();

@@ -74,6 +74,11 @@ struct FiberSlot {
   /// The operation coroutine a progress pass is running right now, or
   /// nullptr: the park hook suspends it instead of the rank.
   Fiber* op_fiber = nullptr;
+  /// The earliest receive deadline an operation coroutine parked on in
+  /// the current progress pass (time_point::max() if none), copied off the
+  /// coroutine's stack: a waiting rank parks no longer than this.
+  std::chrono::steady_clock::time_point op_deadline =
+      std::chrono::steady_clock::time_point::max();
   /// The run's fiber stack size, which operation coroutines use too.
   std::size_t stack_bytes = 0;
   int rank = -1;

@@ -52,7 +52,7 @@ inline bool canonical_chunked_from_env() {
 /// pool is one thread wide (the RSMPI_LOCAL_THREADS default) or the
 /// extent does not exceed one grain.  Parallel sections are charged to
 /// the virtual clock as summed worker CPU over min(cores_per_rank,
-/// pool width) model cores, and counted via Comm::note_parallel_section.
+/// pool width) model cores, and counted in the par.* metric rows.
 template <typename Op, typename Get>
 void accumulate_indexed(mprt::Comm& comm, Op& op, const Op& prototype,
                         std::size_t n, Get&& get, bool fire_pre = true,
@@ -125,7 +125,10 @@ void accumulate_indexed(mprt::Comm& comm, Op& op, const Op& prototype,
   }
   comm.clock().advance(comm.cost_model().parallel_section_seconds(
       stats.worker_cpu_s, stats.threads));
-  comm.note_parallel_section(stats.threads, stats.chunks, stats.steals);
+  comm.note(mprt::Metric::kParSections);
+  comm.note(mprt::Metric::kParChunks, stats.chunks);
+  comm.note(mprt::Metric::kParSteals, stats.steals);
+  comm.note(mprt::Metric::kParThreads, stats.threads);
 }
 
 }  // namespace rsmpi::par

@@ -47,7 +47,7 @@ namespace rsmpi::par {
 
 /// Observability for one parallel section (one run_chunks call).  The
 /// summed worker CPU feeds CostModel::parallel_section_seconds; the
-/// counters surface through Comm::note_parallel_section into RunResult.
+/// counters surface as the par.* metric rows (mprt/metrics.hpp).
 struct RunStats {
   unsigned threads = 1;       ///< pool width the section ran with
   std::uint64_t chunks = 0;   ///< chunk executions (== nchunks on success)

@@ -162,20 +162,7 @@ scan_async(mprt::Comm& comm, R&& local, Op op,
   }
 
   auto finalize = [state, slice, kind, comm = &comm]() {
-    Op replay = state->op;
-    std::vector<Out> out;
-    out.reserve(slice->size());
-    auto timer = comm->compute_section();
-    for (const In& x : *slice) {
-      if (kind == ScanKind::kExclusive) {
-        out.push_back(scan_result(replay, x));
-        replay.accum(x);
-      } else {
-        replay.accum(x);
-        out.push_back(scan_result(replay, x));
-      }
-    }
-    return out;
+    return detail::scan_replay(*comm, state->op, *slice, kind);
   };
   return Future<std::vector<Out>>(request, std::move(finalize));
 }

@@ -30,29 +30,18 @@ namespace rsmpi::rs {
 
 enum class ScanKind { kInclusive, kExclusive };
 
-/// Global-view scan over the conceptual concatenation of every rank's
-/// local slice.  Returns this rank's slice of the scanned output, one
-/// value per local input position.  Requires a forward range because the
-/// input is walked twice (accumulate, then generate/replay).
+namespace detail {
+
+/// Stage 3 of Listing 3 (lines 10–13): starting from `op`, the exclusive
+/// prefix state, re-walks `local`, emitting f_scan_gen at each position
+/// and folding the position's value back in with f_accum — before the
+/// generate for the inclusive scan, after it for the exclusive one.
+/// rs::scan, rs::scan_async and svc::PersistentScan all finish here.
 template <typename Op, std::ranges::forward_range R>
-  requires ScanOp<Op, std::ranges::range_value_t<R>>
-std::vector<scan_result_t<Op, std::ranges::range_value_t<R>>> scan(
-    mprt::Comm& comm, R&& local, Op op,
-    ScanKind kind = ScanKind::kInclusive) {
+std::vector<scan_result_t<Op, std::ranges::range_value_t<R>>> scan_replay(
+    mprt::Comm& comm, Op op, R&& local, ScanKind kind) {
   using In = std::ranges::range_value_t<R>;
-  using Out = scan_result_t<Op, In>;
-
-  const Op prototype = op;
-
-  // Stage 1: accumulate the local slice (Listing 3 lines 2–8).
-  detail::accumulate_local(comm, op, local);
-
-  // Stage 2: exclusive scan of states across ranks (line 9).
-  detail::state_xscan(comm, op, prototype);
-
-  // Stage 3: generate + replay (lines 10–13).  `op` now holds the
-  // combination of all lower ranks' contributions.
-  std::vector<Out> out;
+  std::vector<scan_result_t<Op, In>> out;
   if constexpr (std::ranges::sized_range<R>) {
     out.reserve(static_cast<std::size_t>(std::ranges::size(local)));
   }
@@ -67,6 +56,30 @@ std::vector<scan_result_t<Op, std::ranges::range_value_t<R>>> scan(
     }
   }
   return out;
+}
+
+}  // namespace detail
+
+/// Global-view scan over the conceptual concatenation of every rank's
+/// local slice.  Returns this rank's slice of the scanned output, one
+/// value per local input position.  Requires a forward range because the
+/// input is walked twice (accumulate, then generate/replay).
+template <typename Op, std::ranges::forward_range R>
+  requires ScanOp<Op, std::ranges::range_value_t<R>>
+std::vector<scan_result_t<Op, std::ranges::range_value_t<R>>> scan(
+    mprt::Comm& comm, R&& local, Op op,
+    ScanKind kind = ScanKind::kInclusive) {
+  const Op prototype = op;
+
+  // Stage 1: accumulate the local slice (Listing 3 lines 2–8).
+  detail::accumulate_local(comm, op, local);
+
+  // Stage 2: exclusive scan of states across ranks (line 9).
+  detail::state_xscan(comm, op, prototype);
+
+  // Stage 3: generate + replay (lines 10–13).  `op` now holds the
+  // combination of all lower ranks' contributions.
+  return detail::scan_replay(comm, std::move(op), local, kind);
 }
 
 /// The combine half of the scan in isolation: accumulates this rank's

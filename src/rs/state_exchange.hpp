@@ -297,7 +297,7 @@ void state_allreduce(mprt::Comm& comm, Op& op, const Op& prototype,
   if constexpr (PartitionableState<Op>) {
     segment_bytes = segment_bytes_from_env();
     if (forced == Schedule::kAuto) {
-      comm.note_autotune_invocation();
+      comm.note(mprt::Metric::kAutotuneInvocations);
       schedule = choose_allreduce_schedule(comm.cost_model(), comm.size(),
                                            part_state_bytes(op), segment_bytes);
     }

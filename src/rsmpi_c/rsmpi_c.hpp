@@ -165,80 +165,18 @@ void RSMPI_Exscan(std::vector<Out>* result, R&& values,
 
 // -- Runtime statistics ------------------------------------------------------
 
-/// Per-rank runtime counters, C-struct shaped: traffic, payload-buffer
-/// behaviour, schedule autotuning, fault-recovery incidents, and the live
-/// chaos totals.  Readable mid-run (e.g. once per service epoch) — every
-/// field is a snapshot of this rank's own counters, gathered without
-/// communication.
-struct RSMPI_Stats {
-  // Traffic.
-  std::uint64_t messages_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t messages_received = 0;
-  std::uint64_t bytes_received = 0;
-  // Payload buffers (zero-copy combine phase + pool).
-  std::uint64_t payload_allocs = 0;
-  std::uint64_t payload_copies = 0;
-  std::uint64_t sends_moved = 0;
-  std::uint64_t sends_inline = 0;
-  std::uint64_t pool_hits = 0;
-  std::uint64_t pool_misses = 0;
-  std::uint64_t pool_segments_reused = 0;
-  // Planning and collectives.
-  std::uint64_t autotune_invocations = 0;
-  std::int64_t collective_tags_consumed = 0;
-  // Two-level topology traffic split (both 0 under a flat cost model).
-  std::uint64_t intra_node_bytes = 0;
-  std::uint64_t inter_node_bytes = 0;
-  // Rank virtualization: OS workers the ranks are multiplexed onto, peak
-  // simultaneously-parked ranks, and park transitions so far.  Engine-wide counters snapshotted
-  // through this rank, still gathered without communication.
-  std::uint64_t workers = 0;
-  std::uint64_t parked_ranks = 0;
-  std::uint64_t park_events = 0;
-  // Fault handling.
-  std::uint64_t recv_retries = 0;
-  std::uint64_t duplicates_suppressed = 0;
-  // Chaos-layer totals for the whole run so far (identical on all ranks).
-  std::uint64_t chaos_dropped = 0;
-  std::uint64_t chaos_duplicated = 0;
-  std::uint64_t chaos_delayed = 0;
-  std::uint64_t chaos_reordered = 0;
-  int chaos_rank_killed = 0;
-};
+/// Per-rank runtime counters: one value per row of the runtime's metrics
+/// table (mprt/metrics.hpp) — traffic, payload buffers, schedule
+/// autotuning, fault recovery, the parallel local fold, and the run-wide
+/// scheduler and chaos totals.  Index it by row, e.g.
+/// `stats[mprt::Metric::kMessagesSent]`.
+using RSMPI_Stats = mprt::Metrics;
 
-/// RSMPI_GetStats: fills `stats` with this rank's current counters.
+/// RSMPI_GetStats: fills `stats` with a snapshot of this rank's metrics.
+/// Readable mid-run (e.g. once per service epoch), without communication.
 inline void RSMPI_GetStats(RSMPI_Stats* stats,
                            mprt::Comm& comm = mprt::this_comm()) {
-  RSMPI_Stats out;
-  out.messages_sent = comm.messages_sent();
-  out.bytes_sent = comm.bytes_sent();
-  out.messages_received = comm.messages_received();
-  out.bytes_received = comm.bytes_received();
-  out.payload_allocs = comm.payload_allocs();
-  out.payload_copies = comm.payload_copies();
-  out.sends_moved = comm.sends_moved();
-  out.sends_inline = comm.sends_inline();
-  const auto& pool = comm.pool_stats();
-  out.pool_hits = pool.hits;
-  out.pool_misses = pool.misses;
-  out.pool_segments_reused = pool.segments_reused;
-  out.autotune_invocations = comm.autotune_invocations();
-  out.collective_tags_consumed = comm.collective_tags_consumed();
-  out.intra_node_bytes = comm.intra_node_bytes();
-  out.inter_node_bytes = comm.inter_node_bytes();
-  out.workers = comm.virtual_workers();
-  out.parked_ranks = comm.parked_ranks();
-  out.park_events = comm.park_events();
-  out.recv_retries = comm.recv_retries();
-  out.duplicates_suppressed = comm.duplicates_suppressed();
-  const mprt::SimStats sim = comm.sim_stats();
-  out.chaos_dropped = sim.dropped;
-  out.chaos_duplicated = sim.duplicated;
-  out.chaos_delayed = sim.delayed;
-  out.chaos_reordered = sim.reordered;
-  out.chaos_rank_killed = sim.rank_killed ? 1 : 0;
-  *stats = out;
+  *stats = comm.metrics();
 }
 
 // -- Nonblocking variants (MPI-3 shape) -------------------------------------

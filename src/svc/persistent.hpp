@@ -101,26 +101,10 @@ class PersistentScan {
     requires rs::ScanOp<Op, std::ranges::range_value_t<R>>
   std::vector<rs::scan_result_t<Op, std::ranges::range_value_t<R>>> execute(
       R&& local, rs::ScanKind kind = rs::ScanKind::kInclusive) {
-    using In = std::ranges::range_value_t<R>;
-    using Out = rs::scan_result_t<Op, In>;
     Op op = prototype_;
     rs::detail::accumulate_local(*comm_, op, local);
     coll::execute_planned_xscan(*comm_, op, prototype_, plan_);
-    std::vector<Out> out;
-    if constexpr (std::ranges::sized_range<R>) {
-      out.reserve(static_cast<std::size_t>(std::ranges::size(local)));
-    }
-    auto timer = comm_->compute_section();
-    for (const In& x : local) {
-      if (kind == rs::ScanKind::kExclusive) {
-        out.push_back(rs::scan_result(op, x));
-        op.accum(x);
-      } else {
-        op.accum(x);
-        out.push_back(rs::scan_result(op, x));
-      }
-    }
-    return out;
+    return rs::detail::scan_replay(*comm_, std::move(op), local, kind);
   }
 
   /// One epoch, states only: the exclusive prefix state of this rank.

@@ -4,10 +4,11 @@
 // StatCollector: named stats, per-category aggregates, one JSON document
 // per run).
 //
-// The collector is deliberately runtime-agnostic: it only reads public
-// Comm counters.  Aggregates flow out two ways — `to_json()` for the
-// bench/demo reports, and `publish()` into Comm::publish_stat so run()
-// folds every rank's totals into RunResult::user_stats.
+// The collector is deliberately runtime-agnostic: it reads the runtime's
+// metrics table through Comm::metrics().  Aggregates flow out two ways —
+// `to_json()` for the bench/demo reports, and `publish()` into
+// Comm::publish_stat so run() folds every rank's totals into
+// RunResult::user_stats.
 #pragma once
 
 #include <algorithm>
@@ -143,9 +144,9 @@ class StatCollector {
     return n;
   }
 
-  /// One JSON document: per-stream aggregates plus this rank's runtime
-  /// counters (pool reuse, retries, chaos totals, autotune count).  The
-  /// stat schema is documented in docs/service.md.
+  /// One JSON document: per-stream aggregates plus a snapshot of this
+  /// rank's metrics, one key per row of the table.  The stat schema is
+  /// documented in docs/service.md.
   [[nodiscard]] std::string to_json(const mprt::Comm& comm) const {
     std::ostringstream os;
     os << "{\n  \"rank\": " << comm.global_rank() << ",\n  \"streams\": {";
@@ -165,24 +166,17 @@ class StatCollector {
          << ", \"p99_epoch_s\": " << s.latency_quantile_s(0.99)
          << ", \"latency_hist_us_log2\": " << s.latency_hist.to_json() << "}";
     }
-    const auto& pool = comm.pool_stats();
-    const mprt::SimStats sim = comm.sim_stats();
-    os << "\n  },\n  \"runtime\": {"
-       << "\"pool_hits\": " << pool.hits << ", \"pool_misses\": " << pool.misses
-       << ", \"segments_reused\": " << pool.segments_reused
-       << ", \"payload_allocs\": " << comm.payload_allocs()
-       << ", \"autotune_invocations\": " << comm.autotune_invocations()
-       << ", \"recv_retries\": " << comm.recv_retries()
-       << ", \"duplicates_suppressed\": " << comm.duplicates_suppressed()
-       << ", \"chaos_dropped\": " << sim.dropped
-       << ", \"chaos_duplicated\": " << sim.duplicated
-       << ", \"chaos_delayed\": " << sim.delayed
-       << ", \"degraded_streams\": " << degraded_streams_ << "}\n}";
+    os << "\n  },\n  \"runtime\": {";
+    const mprt::Metrics metrics = comm.metrics();
+    for (const mprt::MetricRow& row : mprt::kMetricTable) {
+      os << "\"" << row.name << "\": " << metrics[row.metric] << ", ";
+    }
+    os << "\"degraded_streams\": " << degraded_streams_ << "}\n}";
     return os.str();
   }
 
-  /// Publishes the rank's totals through Comm::publish_stat, so they
-  /// arrive summed across ranks in RunResult::user_stats under the
+  /// Publishes the rank's service totals through Comm::publish_stat, so
+  /// they arrive summed across ranks in RunResult::user_stats under the
   /// "svc." prefix.
   void publish(mprt::Comm& comm) const {
     comm.publish_stat("svc.epochs", static_cast<double>(total_epochs()));
@@ -192,10 +186,6 @@ class StatCollector {
     std::uint64_t windows = 0;
     for (const auto& [name, s] : streams_) windows += s.windows_emitted;
     comm.publish_stat("svc.windows", static_cast<double>(windows));
-    comm.publish_stat("svc.recv_retries",
-                      static_cast<double>(comm.recv_retries()));
-    comm.publish_stat("svc.pool_segment_reuses",
-                      static_cast<double>(comm.pool_stats().segments_reused));
   }
 
  private:

@@ -139,7 +139,7 @@ TEST(Barrier, SingleRankIsNoop) {
   const auto result = mprt::run(1, [](mprt::Comm& comm) {
     coll::barrier(comm);
   });
-  EXPECT_EQ(result.total_messages, 0u);
+  EXPECT_EQ(result.metrics[mprt::Metric::kMessagesSent], 0u);
 }
 
 TEST(Barrier, ActsAsRendezvous) {

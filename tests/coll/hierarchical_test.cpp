@@ -206,10 +206,10 @@ TEST(Hierarchical, TrafficAndFinishArePinned) {
     }, model);
     const std::string what = "p=" + std::to_string(c.p) + " buckets=" +
                              std::to_string(c.buckets);
-    EXPECT_EQ(r.total_messages, c.messages) << what;
-    EXPECT_EQ(r.total_bytes, c.bytes) << what;
-    EXPECT_EQ(r.intra_node_bytes, c.intra_bytes) << what;
-    EXPECT_EQ(r.inter_node_bytes, c.inter_bytes) << what;
+    EXPECT_EQ(r.metrics[mprt::Metric::kMessagesSent], c.messages) << what;
+    EXPECT_EQ(r.metrics[mprt::Metric::kBytesSent], c.bytes) << what;
+    EXPECT_EQ(r.metrics[mprt::Metric::kIntraNodeBytes], c.intra_bytes) << what;
+    EXPECT_EQ(r.metrics[mprt::Metric::kInterNodeBytes], c.inter_bytes) << what;
     EXPECT_DOUBLE_EQ(r.makespan_s, c.makespan_s) << what;
   }
 }
@@ -255,18 +255,19 @@ TEST(Hierarchical, TierByteCountersPartitionTraffic) {
     rs::detail::state_allreduce(comm, op,
                                 verify::make_prototype<rs::ops::Counts>());
   }, CostModel::cluster_of_smp(4));
-  EXPECT_GT(two_tier.intra_node_bytes, 0u);
-  EXPECT_GT(two_tier.inter_node_bytes, 0u);
-  EXPECT_EQ(two_tier.intra_node_bytes + two_tier.inter_node_bytes,
-            two_tier.total_bytes);
+  EXPECT_GT(two_tier.metrics[mprt::Metric::kIntraNodeBytes], 0u);
+  EXPECT_GT(two_tier.metrics[mprt::Metric::kInterNodeBytes], 0u);
+  EXPECT_EQ(two_tier.metrics[mprt::Metric::kIntraNodeBytes] +
+                two_tier.metrics[mprt::Metric::kInterNodeBytes],
+            two_tier.metrics[mprt::Metric::kBytesSent]);
 
   const mprt::RunResult flat = mprt::run(8, [](Comm& comm) {
     auto op = verify::accumulated<rs::ops::Counts>(comm.rank());
     rs::detail::state_allreduce(comm, op,
                                 verify::make_prototype<rs::ops::Counts>());
   }, CostModel{});
-  EXPECT_EQ(flat.intra_node_bytes, 0u);
-  EXPECT_EQ(flat.inter_node_bytes, 0u);
+  EXPECT_EQ(flat.metrics[mprt::Metric::kIntraNodeBytes], 0u);
+  EXPECT_EQ(flat.metrics[mprt::Metric::kInterNodeBytes], 0u);
 }
 
 }  // namespace

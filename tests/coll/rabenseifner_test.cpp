@@ -153,7 +153,7 @@ TEST(Rabenseifner, ExactTrafficOnPowerOfTwo) {
     coll::ElementwiseOp<long, coll::Sum<long>> op;
     coll::local_allreduce_rabenseifner(comm, std::span<long>(v), op);
   });
-  EXPECT_EQ(result.total_bytes,
+  EXPECT_EQ(result.metrics[mprt::Metric::kBytesSent],
             2 * kWidth * sizeof(long) * (kP - 1));
 }
 

@@ -136,7 +136,8 @@ TEST(Scaling, BlellochScanUsesThreePMinusOneMessages) {
                             coll::ScanAlgo::kBlelloch);
         },
         hop_model());
-    EXPECT_EQ(result.total_messages, static_cast<std::uint64_t>(3 * (p - 1)))
+    EXPECT_EQ(result.metrics[mprt::Metric::kMessagesSent],
+              static_cast<std::uint64_t>(3 * (p - 1)))
         << "p=" << p;
   }
 }
@@ -178,7 +179,8 @@ TEST(Scaling, MessageCountsAreExact) {
                              coll::ReduceAlgo::kBinomial);
         },
         hop_model());
-    EXPECT_EQ(red.total_messages, static_cast<std::uint64_t>(p - 1))
+    EXPECT_EQ(red.metrics[mprt::Metric::kMessagesSent],
+              static_cast<std::uint64_t>(p - 1))
         << "p=" << p;
 
     std::uint64_t want_scan_msgs = 0;
@@ -194,7 +196,8 @@ TEST(Scaling, MessageCountsAreExact) {
                             coll::ScanAlgo::kHillisSteele);
         },
         hop_model());
-    EXPECT_EQ(scn.total_messages, want_scan_msgs) << "p=" << p;
+    EXPECT_EQ(scn.metrics[mprt::Metric::kMessagesSent], want_scan_msgs)
+        << "p=" << p;
   }
 }
 

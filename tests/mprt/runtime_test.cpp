@@ -34,7 +34,7 @@ TEST(Runtime, SingleRankWorks) {
     EXPECT_EQ(comm.rank(), 0);
     EXPECT_EQ(comm.size(), 1);
   });
-  EXPECT_EQ(result.total_messages, 0u);
+  EXPECT_EQ(result.metrics[mprt::Metric::kMessagesSent], 0u);
 }
 
 TEST(Runtime, ZeroRanksRejected) {
@@ -144,8 +144,8 @@ TEST(Runtime, CountersAggregateSends) {
       (void)comm.recv<double>(0, 0);
     }
   });
-  EXPECT_EQ(result.total_messages, 2u);
-  EXPECT_EQ(result.total_bytes, 16u);
+  EXPECT_EQ(result.metrics[mprt::Metric::kMessagesSent], 2u);
+  EXPECT_EQ(result.metrics[mprt::Metric::kBytesSent], 16u);
 }
 
 TEST(Runtime, SendrecvExchangesValues) {

@@ -206,7 +206,8 @@ TEST(Sequence, OutOfTagOrderReceiveUnderDuplicatesDeliversEachOnce) {
         for (int t = 0; t < 2 * kRounds; ++t) {
           leftovers += comm.try_recv_message(0, t).has_value() ? 1 : 0;
         }
-        suppressed = comm.duplicates_suppressed();
+        suppressed =
+            comm.metrics()[mprt::Metric::kDuplicatesSuppressed];
       },
       mprt::CostModel{}, sim, mprt::ExecPolicy{/*workers=*/2, 0});
 

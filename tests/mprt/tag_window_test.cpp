@@ -111,7 +111,8 @@ TEST(RecvCounters, CountMessagesAndBytes) {
       (void)comm.recv_message(0, 7);
       (void)comm.recv_message(0, 7);
       EXPECT_EQ(comm.messages_received(), 2u);
-      EXPECT_EQ(comm.bytes_received(), sizeof(int) + sizeof(long));
+      EXPECT_EQ(comm.metrics()[mprt::Metric::kBytesReceived],
+                sizeof(int) + sizeof(long));
     }
   });
 }
@@ -126,7 +127,7 @@ TEST(RecvCounters, TryRecvCountsOnlyOnSuccess) {
       std::optional<int> got;
       while (!got.has_value()) got = comm.try_recv<int>(1, 3);
       EXPECT_EQ(comm.messages_received(), 1u);
-      EXPECT_EQ(comm.bytes_received(), sizeof(int));
+      EXPECT_EQ(comm.metrics()[mprt::Metric::kBytesReceived], sizeof(int));
     } else {
       (void)comm.recv_message(0, 4);
       comm.send(0, 3, 9);
@@ -148,7 +149,7 @@ TEST(RecvCounters, ResetClearsBothDirections) {
     comm.reset_counters();
     EXPECT_EQ(comm.messages_sent(), 0u);
     EXPECT_EQ(comm.messages_received(), 0u);
-    EXPECT_EQ(comm.bytes_received(), 0u);
+    EXPECT_EQ(comm.metrics()[mprt::Metric::kBytesReceived], 0u);
   });
 }
 

@@ -55,10 +55,11 @@ TEST(Virtualized, P4096CountsAllreduceOnEightWorkers) {
   // Scheduler observability: the pool really was 8 workers wide, ranks
   // really parked (4096 fibers cannot all run at once on 8 threads), and
   // the park/resume protocol fired.
-  EXPECT_EQ(run.workers, 8u);
-  EXPECT_GT(run.parked_ranks, 0u);
-  EXPECT_LE(run.parked_ranks, static_cast<std::uint64_t>(kRanks));
-  EXPECT_GT(run.park_events, 0u);
+  EXPECT_EQ(run.metrics[mprt::Metric::kWorkers], 8u);
+  EXPECT_GT(run.metrics[mprt::Metric::kParkedRanks], 0u);
+  EXPECT_LE(run.metrics[mprt::Metric::kParkedRanks],
+            static_cast<std::uint64_t>(kRanks));
+  EXPECT_GT(run.metrics[mprt::Metric::kParkEvents], 0u);
 }
 
 // A custom fiber stack size flows through ExecPolicy (the RSMPI_STACK_BYTES

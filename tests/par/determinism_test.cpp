@@ -463,17 +463,17 @@ TEST(ParAccumulate, CountersSurfaceThroughRunResult) {
     const auto mine = std::span<const long>(input).subspan(
         comm.rank() == 0 ? 0 : 500, 500);
     (void)rs::reduce(comm, mine, ops::Sum<long>{});
-    EXPECT_EQ(comm.local_threads(), 4u);
+    EXPECT_EQ(comm.metrics()[mprt::Metric::kParThreads], 4u);
     EXPECT_EQ(comm.local_parallel_sections(), 1u);
     EXPECT_EQ(comm.local_chunks(), 32u);  // ceil(500 / 16)
   });
-  EXPECT_EQ(result.local_sections, 2u);
-  EXPECT_EQ(result.local_chunks, 64u);
-  EXPECT_EQ(result.local_threads, 4u);
-  EXPECT_EQ(result.user_stats.at("par.sections"), 2.0);
-  EXPECT_EQ(result.user_stats.at("par.chunks"), 64.0);
-  EXPECT_EQ(result.user_stats.at("par.threads"), 4.0);
-  EXPECT_TRUE(result.user_stats.count("par.steals") == 1);
+  EXPECT_EQ(result.metrics[mprt::Metric::kParSections], 2u);
+  EXPECT_EQ(result.metrics[mprt::Metric::kParChunks], 64u);
+  EXPECT_EQ(result.metrics[mprt::Metric::kParThreads], 4u);
+  EXPECT_EQ(mprt::metric_row(mprt::Metric::kParSections).name, "par.sections");
+  EXPECT_EQ(mprt::metric_row(mprt::Metric::kParChunks).name, "par.chunks");
+  EXPECT_EQ(mprt::metric_row(mprt::Metric::kParThreads).name, "par.threads");
+  EXPECT_EQ(mprt::metric_row(mprt::Metric::kParSteals).name, "par.steals");
 }
 
 TEST(ParAccumulate, SerialFallbackBelowGrainRunsNoSection) {
@@ -484,9 +484,9 @@ TEST(ParAccumulate, SerialFallbackBelowGrainRunsNoSection) {
     EXPECT_EQ(rs::reduce(comm, std::span<const long>(input), ops::Sum<long>{}),
               500);
   });
-  EXPECT_EQ(result.local_sections, 0u);
-  EXPECT_EQ(result.local_threads, 0u);
-  EXPECT_EQ(result.user_stats.count("par.sections"), 0u);
+  EXPECT_EQ(result.metrics[mprt::Metric::kParSections], 0u);
+  EXPECT_EQ(result.metrics[mprt::Metric::kParThreads], 0u);
+  EXPECT_EQ(result.metrics[mprt::Metric::kParChunks], 0u);
 }
 
 TEST(ParAccumulate, DefaultEnvironmentStaysSerial) {
@@ -496,7 +496,7 @@ TEST(ParAccumulate, DefaultEnvironmentStaysSerial) {
     EXPECT_EQ(rs::reduce(comm, std::span<const long>(input), ops::Sum<long>{}),
               40000);
   });
-  EXPECT_EQ(result.local_sections, 0u);
+  EXPECT_EQ(result.metrics[mprt::Metric::kParSections], 0u);
 }
 
 }  // namespace

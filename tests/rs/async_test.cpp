@@ -156,9 +156,7 @@ TEST(ScanAsync, InputMayBeOverwrittenWhileInFlight) {
 
 // A failed combine stays failed: get() rethrows on every call instead of
 // generating a result from the unfinished state.  Rank 1 consumes the
-// operation's tags without taking part, so rank 0's combine times out
-// (under test(): a wait that finds nothing deliverable parks without a
-// timer, and the scheduler would report a deadlock instead).
+// operation's tags without taking part, so rank 0's combine times out.
 TEST(Future, GetAfterTimeoutThrowsEveryTime) {
   constexpr int kGoTag = 7;
   mprt::run(2, [](Comm& comm) {
@@ -175,6 +173,27 @@ TEST(Future, GetAfterTimeoutThrowsEveryTime) {
       EXPECT_THROW(future.get(), TimeoutError);
       EXPECT_THROW(future.get(), TimeoutError);
       EXPECT_THROW(future.wait(), TimeoutError);
+      comm.set_recv_deadline(std::nullopt);
+      comm.send(1, kGoTag, 1);
+    } else {
+      (void)comm.reserve_tag_block(coll::nb::kOperationTags);
+      (void)comm.recv<int>(0, kGoTag);
+    }
+  });
+}
+
+// The same timeout seen by get() alone: between fruitless progress passes
+// the waiting rank parks until the operation's receive deadline, so the
+// combine throws TimeoutError rather than the scheduler declaring a
+// deadlock (rank 1 is parked with no deadline of its own).
+TEST(Future, GetTimesOutUnderRecvDeadline) {
+  constexpr int kGoTag = 7;
+  mprt::run(2, [](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.set_recv_deadline(mprt::RecvDeadline{0.05, 2, 2.0});
+      auto future =
+          rs::reduce_async(comm, rank_slice(0), rs::ops::MinK<int>(5));
+      EXPECT_THROW(future.get(), TimeoutError);
       comm.set_recv_deadline(std::nullopt);
       comm.send(1, kGoTag, 1);
     } else {

@@ -625,7 +625,7 @@ TEST(SegmentReuse, PipelinedRunRecyclesSegmentBuffers) {
   });
   // Size-class bins serve repeat segment-sized acquires from the matching
   // bin; the counter rolls up into the run result.
-  EXPECT_GT(result.segments_reused, 0u);
+  EXPECT_GT(result.metrics[mprt::Metric::kSegmentsReused], 0u);
 }
 
 }  // namespace

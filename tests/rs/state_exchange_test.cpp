@@ -24,6 +24,7 @@ namespace {
 using namespace rsmpi;
 namespace ops = rs::ops;
 using mprt::Comm;
+using mprt::Metric;
 using rs::save_op;
 using rs::detail::state_allreduce;
 using rs::detail::state_allreduce_butterfly;
@@ -459,17 +460,18 @@ TEST(ZeroCopyPath, WarmAllreduceMakesNoAllocationsOrCopies) {
     auto warm = mine;
     state_allreduce(comm, warm, prototype);
     EXPECT_GT(comm.payload_allocs(), 0u);  // cold pool had to allocate
-    EXPECT_EQ(comm.payload_copies(), 0u);  // but never copied a payload
+    // ... but never copied a payload.
+    EXPECT_EQ(comm.metrics()[Metric::kPayloadCopies], 0u);
     comm.reset_counters();
 
     // Steady state: every buffer comes from this rank's pool.
     auto hot = mine;
     state_allreduce(comm, hot, prototype);
     EXPECT_EQ(comm.payload_allocs(), 0u);
-    EXPECT_EQ(comm.payload_copies(), 0u);
+    EXPECT_EQ(comm.metrics()[Metric::kPayloadCopies], 0u);
     EXPECT_EQ(comm.pool_stats().misses, 0u);
     EXPECT_GT(comm.pool_stats().hits, 0u);
-    EXPECT_GT(comm.sends_moved(), 0u);
+    EXPECT_GT(comm.metrics()[Metric::kSendsMoved], 0u);
 
     // Both passes computed the same (correct) reduction.
     EXPECT_EQ(warm.red_gen(), hot.red_gen());
@@ -498,10 +500,11 @@ TEST(ZeroCopyPath, WarmXscanHalvesAllocationsAndNeverCopies) {
 
     auto hot = mine;
     state_xscan(comm, hot, prototype);
-    EXPECT_EQ(comm.payload_copies(), 0u);
+    EXPECT_EQ(comm.metrics()[Metric::kPayloadCopies], 0u);
     allocs[static_cast<std::size_t>(comm.rank())] = comm.payload_allocs();
     sends[static_cast<std::size_t>(comm.rank())] =
-        comm.sends_moved() + comm.sends_inline();
+        comm.metrics()[Metric::kSendsMoved] +
+        comm.metrics()[Metric::kSendsInline];
     EXPECT_EQ(warm.red_gen(), hot.red_gen());
   });
   std::uint64_t total_allocs = 0, total_sends = 0;
@@ -524,22 +527,23 @@ TEST(ZeroCopyPath, SpanSendsCopyButMoveSendsAdopt) {
     if (comm.rank() == 0) {
       comm.send_bytes(1, 7, std::span<const std::byte>(big));
       EXPECT_EQ(comm.payload_allocs(), 1u);
-      EXPECT_EQ(comm.payload_copies(), 1u);
+      EXPECT_EQ(comm.metrics()[Metric::kPayloadCopies], 1u);
 
       auto buf = comm.acquire_buffer(big.size());  // pool is cold: 1 alloc
       buf.assign(big.begin(), big.end());
       comm.send_bytes(1, 8, std::move(buf));
       EXPECT_EQ(comm.payload_allocs(), 2u);
-      EXPECT_EQ(comm.payload_copies(), 1u);  // unchanged: no copy on move
-      EXPECT_EQ(comm.sends_moved(), 1u);
+      // Unchanged: no copy on move.
+      EXPECT_EQ(comm.metrics()[Metric::kPayloadCopies], 1u);
+      EXPECT_EQ(comm.metrics()[Metric::kSendsMoved], 1u);
 
       // Small payloads ride inline in the Message; the (capacity-bearing)
       // buffer is recycled into the pool instead of travelling.
       auto small = comm.acquire_buffer(16);
       small.resize(16, std::byte{0x3C});
       comm.send_bytes(1, 9, std::move(small));
-      EXPECT_EQ(comm.sends_inline(), 1u);
-      EXPECT_EQ(comm.pool_stats().dropped, 0u);
+      EXPECT_EQ(comm.metrics()[Metric::kSendsInline], 1u);
+      EXPECT_EQ(comm.metrics()[Metric::kPoolDropped], 0u);
     } else {
       for (const int tag : {7, 8, 9}) {
         auto msg = comm.recv_message(0, tag);

@@ -20,6 +20,7 @@
 namespace {
 
 using namespace rsmpi;
+using mprt::Metric;
 
 /// Listing 8, transliterated field for field.
 struct CSorted {
@@ -162,9 +163,9 @@ TEST(CApi, GetStatsSnapshotsRankCounters) {
   mprt::run(3, [](mprt::Comm& comm) {
     c_api::RSMPI_Stats before;
     c_api::RSMPI_GetStats(&before, comm);
-    EXPECT_EQ(before.messages_sent, 0u);
-    EXPECT_EQ(before.messages_received, 0u);
-    EXPECT_EQ(before.collective_tags_consumed, 0);
+    EXPECT_EQ(before[Metric::kMessagesSent], 0u);
+    EXPECT_EQ(before[Metric::kMessagesReceived], 0u);
+    EXPECT_EQ(comm.collective_tags_consumed(), 0);
 
     std::vector<int> mine = {comm.rank() % 8, (comm.rank() + 1) % 8};
     std::vector<long> counts;
@@ -172,14 +173,14 @@ TEST(CApi, GetStatsSnapshotsRankCounters) {
 
     c_api::RSMPI_Stats after;
     c_api::RSMPI_GetStats(&after, comm);
-    EXPECT_GT(after.messages_sent, 0u);
-    EXPECT_GT(after.bytes_sent, 0u);
-    EXPECT_GT(after.messages_received, 0u);
-    EXPECT_GT(after.collective_tags_consumed, 0);
+    EXPECT_GT(after[Metric::kMessagesSent], 0u);
+    EXPECT_GT(after[Metric::kBytesSent], 0u);
+    EXPECT_GT(after[Metric::kMessagesReceived], 0u);
+    EXPECT_GT(comm.collective_tags_consumed(), 0);
     // No chaos configured: the sim totals stay zero.
-    EXPECT_EQ(after.chaos_dropped, 0u);
-    EXPECT_EQ(after.chaos_duplicated, 0u);
-    EXPECT_EQ(after.chaos_rank_killed, 0);
+    EXPECT_EQ(after[Metric::kChaosDropped], 0u);
+    EXPECT_EQ(after[Metric::kChaosDuplicated], 0u);
+    EXPECT_EQ(after[Metric::kChaosRankKilled], 0u);
   });
 }
 
@@ -194,11 +195,12 @@ TEST(CApi, GetStatsSurfacesVirtualizationAndTiers) {
     c_api::RSMPI_Reduceall<CCounts>(&counts, mine, comm);
     c_api::RSMPI_Stats stats;
     c_api::RSMPI_GetStats(&stats, comm);
-    EXPECT_EQ(stats.workers, 4u);
-    EXPECT_GT(stats.park_events, 0u);
-    EXPECT_GT(stats.intra_node_bytes + stats.inter_node_bytes, 0u);
-    EXPECT_EQ(stats.intra_node_bytes + stats.inter_node_bytes,
-              stats.bytes_sent);
+    EXPECT_EQ(stats[Metric::kWorkers], 4u);
+    EXPECT_GT(stats[Metric::kParkEvents], 0u);
+    const std::uint64_t tiers =
+        stats[Metric::kIntraNodeBytes] + stats[Metric::kInterNodeBytes];
+    EXPECT_GT(tiers, 0u);
+    EXPECT_EQ(tiers, stats[Metric::kBytesSent]);
   }, mprt::CostModel::cluster_of_smp(4), mprt::SimConfig{},
   mprt::ExecPolicy{/*workers=*/4, /*stack_bytes=*/0});
 
@@ -213,9 +215,9 @@ TEST(CApi, GetStatsSurfacesVirtualizationAndTiers) {
     c_api::RSMPI_Reduceall<CCounts>(&counts, mine, comm);
     c_api::RSMPI_Stats stats;
     c_api::RSMPI_GetStats(&stats, comm);
-    EXPECT_EQ(stats.workers, auto_workers);
-    EXPECT_EQ(stats.intra_node_bytes, 0u);
-    EXPECT_EQ(stats.inter_node_bytes, 0u);
+    EXPECT_EQ(stats[Metric::kWorkers], auto_workers);
+    EXPECT_EQ(stats[Metric::kIntraNodeBytes], 0u);
+    EXPECT_EQ(stats[Metric::kInterNodeBytes], 0u);
   }, mprt::CostModel{}, mprt::SimConfig{},
   mprt::ExecPolicy{/*workers=*/0, /*stack_bytes=*/0});
 }
@@ -227,10 +229,9 @@ TEST(CApi, GetStatsDefaultsToThisComm) {
     c_api::RSMPI_Reduceall<CCounts>(&counts, mine, comm);
     c_api::RSMPI_Stats stats;
     c_api::RSMPI_GetStats(&stats);  // implicit mprt::this_comm()
-    EXPECT_EQ(stats.messages_sent, comm.messages_sent());
-    EXPECT_EQ(stats.bytes_received, comm.bytes_received());
-    EXPECT_EQ(stats.collective_tags_consumed,
-              comm.collective_tags_consumed());
+    EXPECT_EQ(stats[Metric::kMessagesSent], comm.messages_sent());
+    EXPECT_EQ(stats[Metric::kBytesReceived],
+              comm.metrics()[Metric::kBytesReceived]);
   });
 }
 
@@ -255,6 +256,30 @@ TEST(CApi, TestReportsTimeoutUnderRecvDeadline) {
         }
         EXPECT_FALSE(req.valid());
         status[static_cast<std::size_t>(comm.rank())] = code;
+      },
+      mprt::CostModel{}, sim);
+  EXPECT_EQ(status[0], c_api::RSMPI_ERR_TIMEOUT);
+  EXPECT_EQ(status[1], c_api::RSMPI_ERR_TIMEOUT);
+}
+
+// The same under RSMPI_Wait: the rank parks between progress passes, and
+// the park ends at the operation's receive deadline, so the wait returns
+// RSMPI_ERR_TIMEOUT instead of the scheduler declaring a deadlock.
+TEST(CApi, WaitReportsTimeoutUnderRecvDeadline) {
+  mprt::SimConfig sim;
+  sim.seed = 3;
+  sim.drop_prob = 1.0;  // nothing ever arrives
+  std::array<int, 2> status = {-1, -1};
+  mprt::run(
+      2,
+      [&](mprt::Comm& comm) {
+        comm.set_recv_deadline(mprt::RecvDeadline{0.05, 2, 2.0});
+        std::vector<int> mine = {comm.rank() % 8};
+        std::vector<long> counts;
+        auto req = c_api::RSMPI_Ireduceall<CCounts>(&counts, mine, comm);
+        status[static_cast<std::size_t>(comm.rank())] =
+            c_api::RSMPI_Wait(&req);
+        EXPECT_FALSE(req.valid());
       },
       mprt::CostModel{}, sim);
   EXPECT_EQ(status[0], c_api::RSMPI_ERR_TIMEOUT);

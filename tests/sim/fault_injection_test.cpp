@@ -67,7 +67,7 @@ TEST(FaultInjection, DuplicatesOnAStreamAreSuppressedAndCounted) {
           for (int i = 0; i < kMessages; ++i) {
             EXPECT_EQ(comm.recv<int>(0, kTag), i);
           }
-          EXPECT_GT(comm.duplicates_suppressed(), 0u);
+          EXPECT_GT(comm.metrics()[mprt::Metric::kDuplicatesSuppressed], 0u);
         }
       },
       mprt::CostModel{}, sim);
@@ -75,7 +75,8 @@ TEST(FaultInjection, DuplicatesOnAStreamAreSuppressedAndCounted) {
   EXPECT_EQ(rr.sim.duplicated, static_cast<std::uint64_t>(kMessages));
   // The duplicate of message i is purged while matching message i+1; only
   // the final message's copy may still be queued unexamined at teardown.
-  EXPECT_GE(rr.duplicates_suppressed, static_cast<std::uint64_t>(kMessages - 1));
+  EXPECT_GE(rr.metrics[mprt::Metric::kDuplicatesSuppressed],
+            static_cast<std::uint64_t>(kMessages - 1));
 }
 
 // -- Drops -------------------------------------------------------------------
@@ -297,7 +298,7 @@ TEST(FaultInjection, SameSeedReplaysIdentically) {
         mprt::CostModel{}, sim);
     return std::make_tuple(reds, prefixes, rr.sim.duplicated, rr.sim.delayed,
                            rr.sim.reordered, rr.sim.skew_events,
-                           rr.duplicates_suppressed);
+                           rr.metrics[mprt::Metric::kDuplicatesSuppressed]);
   };
 
   const auto first = once();

@@ -195,10 +195,14 @@ TEST(PersistentPlan, WarmEpochsDoNotPlanOrAllocate) {
 
     for (int e = 0; e < 3; ++e) run_epoch(e);  // warm-up
     const std::uint64_t allocs = comm.payload_allocs();
+    const std::uint64_t regrows = comm.metrics()[mprt::Metric::kPoolRegrows];
     const std::uint64_t autotunes = comm.autotune_invocations();
     const std::int64_t tags = comm.collective_tags_consumed();
     for (int e = 3; e < 20; ++e) run_epoch(e);
     EXPECT_EQ(comm.payload_allocs(), allocs) << "warm epochs heap-allocated";
+    // A pooled buffer grown by its reserve is a heap allocation too.
+    EXPECT_EQ(comm.metrics()[mprt::Metric::kPoolRegrows], regrows)
+        << "warm epochs regrew pooled buffers";
     EXPECT_EQ(comm.autotune_invocations(), autotunes)
         << "warm epochs re-planned";
     EXPECT_EQ(comm.collective_tags_consumed(), tags)
@@ -215,7 +219,7 @@ TEST(PersistentPlan, RunResultCarriesPlanCounters) {
   });
   // One autotuner argmin per rank at plan time, none across the five warm
   // epochs — RunResult sums the per-rank counters.
-  EXPECT_EQ(result.autotune_invocations, 4u);
+  EXPECT_EQ(result.metrics[mprt::Metric::kAutotuneInvocations], 4u);
 }
 
 // --- persistent scans -------------------------------------------------------

@@ -553,7 +553,7 @@ TEST(Service, PublishSurfacesAggregateUserStats) {
     }
     const std::string json = service.stats_json();
     EXPECT_NE(json.find("\"pub\""), std::string::npos);
-    EXPECT_NE(json.find("\"pool_hits\""), std::string::npos);
+    EXPECT_NE(json.find("\"mprt.pool_hits\""), std::string::npos);
     service.publish();
   });
 
