@@ -107,11 +107,10 @@ void run_schedule(Schedule s, Comm& comm, ops::Counts& op,
                   const ops::Counts& prototype) {
   switch (s) {
     case Schedule::kButterfly:
-      rs::detail::state_allreduce_butterfly(comm, op, prototype);
+      rs::detail::state_allreduce_butterfly(comm, op);
       break;
     case Schedule::kReduceBcast:
-      rs::detail::state_allreduce_reduce_bcast(comm, op, prototype,
-                                               /*commutative=*/true);
+      rs::detail::state_allreduce_reduce_bcast(comm, op, /*commutative=*/true);
       break;
     case Schedule::kLegacyButterfly:
       legacy_butterfly_allreduce(comm, op, prototype);

@@ -76,12 +76,11 @@ double measure(const char* env_name, int p, std::size_t buckets) {
   } else {
     ::unsetenv("RSMPI_SCHEDULE");
   }
-  const ops::Counts prototype(buckets);
   const double t = bench::time_phase(
       p, bench_model(), [&](Comm&) {},
       [&](Comm& comm) {
         auto op = filled_counts(buckets, comm.rank());
-        rs::detail::state_allreduce(comm, op, prototype);
+        rs::detail::state_allreduce(comm, op);
       });
   ::unsetenv("RSMPI_SCHEDULE");
   return t;

@@ -102,14 +102,13 @@ double measure(const char* env_name, int p) {
   } else {
     ::unsetenv("RSMPI_SCHEDULE");
   }
-  const ops::Counts prototype(kBuckets);
   // Virtual time is fully deterministic at compute_scale = 0, so one rep
   // suffices even at p = 4096.
   const double t = bench::time_phase(
       p, bench_model(), [&](Comm&) {},
       [&](Comm& comm) {
         auto op = filled_counts(comm.rank());
-        rs::detail::state_allreduce(comm, op, prototype);
+        rs::detail::state_allreduce(comm, op);
       },
       /*reps=*/1, mprt::ExecPolicy{/*workers=*/kWorkers, /*stack_bytes=*/0});
   ::unsetenv("RSMPI_SCHEDULE");

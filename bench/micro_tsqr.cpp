@@ -143,8 +143,8 @@ PointResult measure(int p, std::size_t rows_per_rank, std::size_t cols,
       for (const auto& row : local[static_cast<std::size_t>(comm.rank())]) {
         op.accum(row);
       }
-      rs::detail::state_allreduce_with_schedule(comm, op, ops::TSQR(cols),
-                                                sched, /*segment_bytes=*/24,
+      rs::detail::state_allreduce_with_schedule(comm, op, sched,
+                                                /*segment_bytes=*/24,
                                                 /*commutative=*/false);
       if (save_op(op) != expected) pt.schedules_identical = false;
     });

@@ -45,7 +45,6 @@ namespace rsmpi::rs::detail {
 /// the cost model's pick among two-message, ring and Rabenseifner.
 template <Combinable Op>
 void state_allreduce_hierarchical(mprt::Comm& comm, Op& op,
-                                  const Op& prototype,
                                   bool commutative = op_commutative<Op>()) {
   const int p = comm.size();
   if (p == 1) return;
@@ -62,7 +61,7 @@ void state_allreduce_hierarchical(mprt::Comm& comm, Op& op,
 
   // Phase 1: intra-node binomial reduce to the leader, rank order
   // preserved.
-  state_reduce_binomial(comm, node, tag, op, prototype);
+  state_reduce_binomial(comm, node, tag, op);
 
   // Phase 2: allreduce among the leaders over the expensive tier.
   if (nodes.is_leader(rank) && nodes.num_nodes() > 1) {
@@ -76,13 +75,13 @@ void state_allreduce_hierarchical(mprt::Comm& comm, Op& op,
                    .tier;
       }
       if (tier == Tier::kRabenseifner) {
-        state_allreduce_rabenseifner(comm, leaders, tag + 1, op, prototype);
+        state_allreduce_rabenseifner(comm, leaders, tag + 1, op);
       } else if (tier == Tier::kRing) {
         state_allreduce_ring(comm, leaders, tag + 1, op);
       }
     }
     if (tier == Tier::kTwoMessage) {
-      state_reduce_binomial(comm, leaders, tag + 1, op, prototype);
+      state_reduce_binomial(comm, leaders, tag + 1, op);
       state_bcast_binomial(comm, leaders, tag + 1, op);
     }
   }

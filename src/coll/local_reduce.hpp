@@ -110,19 +110,16 @@ void local_reduce(mprt::Comm& comm, int root, std::span<T> values,
   if (algo == ReduceAlgo::kLinear) {
     detail::reduce_linear(comm, tree_root, values, op);
   } else {
-    // The reduce schedules fold received bytes with the state's own
-    // combine_from_bytes and never read the prototype, so the state
-    // stands in as its own.
     SpanState<T, Op> state(values, op);
     const auto map =
         mprt::topology::RankMap::rotated(p, comm.rank(), tree_root);
     const int tag = comm.next_collective_tag();
     if (algo == ReduceAlgo::kUnorderedTree ||
         (algo == ReduceAlgo::kAuto && commutative)) {
-      rs::detail::state_reduce_unordered(comm, map, tag, state, state,
+      rs::detail::state_reduce_unordered(comm, map, tag, state,
                                          unordered_arity);
     } else {
-      rs::detail::state_reduce_binomial(comm, map, tag, state, state);
+      rs::detail::state_reduce_binomial(comm, map, tag, state);
     }
   }
 
@@ -174,7 +171,7 @@ void local_allreduce_rabenseifner(mprt::Comm& comm, std::span<T> values,
         "rabenseifner allreduce requires an element-wise operator");
   } else {
     SpanState<T, Op> state(values, op);
-    rs::detail::state_allreduce_rabenseifner(comm, state, state);
+    rs::detail::state_allreduce_rabenseifner(comm, state);
   }
 }
 

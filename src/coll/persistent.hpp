@@ -140,11 +140,11 @@ PersistentPlan plan_state_xscan(mprt::Comm& comm, const Op& prototype) {
 /// one-shot dispatch.  No env reads, no cost-model argmins, no allocations
 /// once the pool is warm.
 template <rs::Combinable Op>
-void execute_planned_allreduce(mprt::Comm& comm, Op& op, const Op& prototype,
+void execute_planned_allreduce(mprt::Comm& comm, Op& op,
                                PersistentPlan& plan) {
   mprt::TagBlockLease lease(comm, plan.tags);
-  rs::detail::state_allreduce_with_schedule(comm, op, prototype,
-                                            plan.schedule, plan.segment_bytes,
+  rs::detail::state_allreduce_with_schedule(comm, op, plan.schedule,
+                                            plan.segment_bytes,
                                             plan.commutative);
   plan.epochs += 1;
 }

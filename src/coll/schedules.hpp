@@ -32,7 +32,9 @@
 // The hot path is zero-copy end to end: states are serialized
 // into pooled buffers (Comm::acquire_buffer), handed to the receiver by
 // move, folded straight out of the receive buffer (combine_op_from_bytes)
-// and the receive buffer is recycled into the receiving rank's pool.
+// and the receive buffer is recycled into the receiving rank's pool.  No
+// schedule copies a state to decode with, so only the exclusive scan takes
+// an identity: rank 0's prefix.
 #pragma once
 
 #include <algorithm>
@@ -57,29 +59,44 @@ inline RankMap whole(const mprt::Comm& comm) {
 
 // -- Transfer primitives ------------------------------------------------------
 
+/// Serializes into a pooled buffer of `size` bytes with `save(writer)` and
+/// move-sends it.  A serialization that outgrows the buffer grows it on
+/// the heap, which the pool's hit would hide, so it counts one
+/// mprt.pool_regrows.
+template <typename Save>
+void send_pooled(mprt::Comm& comm, int dest, int tag, std::size_t size,
+                 Save&& save) {
+  std::vector<std::byte> buf = comm.acquire_buffer(size);
+  const std::size_t capacity = buf.capacity();
+  bytes::Writer w(std::move(buf));
+  save(w);
+  std::vector<std::byte> payload = std::move(w).take();
+  if (payload.capacity() > capacity) comm.note(mprt::Metric::kPoolRegrows);
+  comm.send_bytes(dest, tag, std::move(payload));
+}
+
 /// Serializes `op` into a pooled buffer and move-sends it: after warm-up
 /// the whole send path performs zero heap allocations and zero payload
 /// copies (small states travel inline in the Message itself).  A state
-/// that knows its serialized size up front (`wire_bytes()`, the span
-/// state) asks the pool for a buffer that large, so a large state reuses
-/// the large buffer its peers sent back rather than regrowing a small one.
+/// that knows its serialized size up front (`wire_bytes()`: the array
+/// states and the span state) asks the pool for a buffer that large, so
+/// it reuses the large buffer its peers sent back rather than regrowing a
+/// small one.
 template <Combinable Op>
 void send_state(mprt::Comm& comm, int dest, int tag, const Op& op) {
   std::size_t size = 0;
   if constexpr (requires { op.wire_bytes(); }) size = op.wire_bytes();
-  bytes::Writer w(comm.acquire_buffer(size));
-  save_op_into(op, w);
-  comm.send_bytes(dest, tag, std::move(w).take());
+  send_pooled(comm, dest, tag, size,
+              [&](bytes::Writer& w) { save_op_into(op, w); });
 }
 
 /// Folds a received serialized state into `op` (op = op (+) decode) and
 /// recycles the receive buffer into this rank's pool.
 template <Combinable Op>
-void combine_received_state(mprt::Comm& comm, Op& op, const Op& prototype,
-                            mprt::Message&& msg) {
+void combine_received_state(mprt::Comm& comm, Op& op, mprt::Message&& msg) {
   {
     auto timer = comm.compute_section();
-    combine_op_from_bytes(op, prototype, msg.payload());
+    combine_op_from_bytes(op, msg.payload());
   }
   comm.recycle_buffer(msg.release_storage());
 }
@@ -102,9 +119,8 @@ void load_received_state(mprt::Comm& comm, Op& op, mprt::Message&& msg) {
 template <PartitionableState Op>
 void send_state_part(mprt::Comm& comm, int dest, int tag, const Op& op,
                      std::size_t lo, std::size_t hi) {
-  bytes::Writer w(comm.acquire_buffer(op.part_bytes(lo, hi)));
-  op.save_part(lo, hi, w);
-  comm.send_bytes(dest, tag, std::move(w).take());
+  send_pooled(comm, dest, tag, op.part_bytes(lo, hi),
+              [&](bytes::Writer& w) { op.save_part(lo, hi, w); });
 }
 
 /// Folds a received segment into [lo, hi) of `op` and recycles the buffer.
@@ -136,13 +152,13 @@ void load_part_received(mprt::Comm& comm, Op& op, std::size_t lo,
 /// (later positions).  Positions other than 0 are left holding partials.
 template <Combinable Op>
 void state_reduce_binomial(mprt::Comm& comm, const RankMap& map, int tag,
-                           Op& op, const Op& prototype) {
+                           Op& op) {
   for (const auto& step :
        mprt::topology::binomial_reduce_schedule(map.pos, map.size)) {
     if (step.role == mprt::topology::BinomialStep::Role::kSend) {
       send_state(comm, map.rank(step.partner), tag, op);
     } else {
-      combine_received_state(comm, op, prototype,
+      combine_received_state(comm, op,
                              comm.recv_message(map.rank(step.partner), tag));
     }
   }
@@ -150,9 +166,8 @@ void state_reduce_binomial(mprt::Comm& comm, const RankMap& map, int tag,
 
 /// The flat binomial reduce to rank 0 on a fresh collective tag.
 template <Combinable Op>
-void state_reduce_binomial(mprt::Comm& comm, Op& op, const Op& prototype) {
-  state_reduce_binomial(comm, whole(comm), comm.next_collective_tag(), op,
-                        prototype);
+void state_reduce_binomial(mprt::Comm& comm, Op& op) {
+  state_reduce_binomial(comm, whole(comm), comm.next_collective_tag(), op);
 }
 
 /// Binomial broadcast of position 0's state: every other position's state
@@ -210,8 +225,7 @@ inline std::uint64_t fold_order_count(std::size_t n) {
 /// byte-identical states is the same fold) for symmetry reduction.
 template <Combinable Op>
 void oracle_fold_messages(mprt::Comm& comm, mprt::ScheduleOracle& oracle,
-                          Op& op, const Op& prototype,
-                          std::vector<mprt::Message>&& pending) {
+                          Op& op, std::vector<mprt::Message>&& pending) {
   const std::size_t n = pending.size();
   if (n == 0) return;
   if (n > 1) {
@@ -222,7 +236,7 @@ void oracle_fold_messages(mprt::Comm& comm, mprt::ScheduleOracle& oracle,
               });
   }
   if (n == 1) {
-    combine_received_state(comm, op, prototype, std::move(pending[0]));
+    combine_received_state(comm, op, std::move(pending[0]));
     return;
   }
 
@@ -235,7 +249,7 @@ void oracle_fold_messages(mprt::Comm& comm, mprt::ScheduleOracle& oracle,
     do {
       Op probe = op;
       for (const std::size_t i : order) {
-        combine_op_from_bytes(probe, prototype, pending[i].payload());
+        combine_op_from_bytes(probe, pending[i].payload());
       }
       std::vector<std::byte> bytes = save_op(probe);
       if (first) {
@@ -249,7 +263,7 @@ void oracle_fold_messages(mprt::Comm& comm, mprt::ScheduleOracle& oracle,
     if (all_identical) {
       oracle.note_pruned(comm.rank(), fold_order_count(n) - 1);
       for (auto& msg : pending) {
-        combine_received_state(comm, op, prototype, std::move(msg));
+        combine_received_state(comm, op, std::move(msg));
       }
       return;
     }
@@ -279,7 +293,7 @@ void oracle_fold_messages(mprt::Comm& comm, mprt::ScheduleOracle& oracle,
           oracle.choose(comm.rank(), static_cast<int>(reps.size()));
       pick = reps[static_cast<std::size_t>(choice)];
     }
-    combine_received_state(comm, op, prototype, std::move(pending[pick]));
+    combine_received_state(comm, op, std::move(pending[pick]));
     remaining.erase(std::find(remaining.begin(), remaining.end(), pick));
   }
 }
@@ -293,8 +307,7 @@ void oracle_fold_messages(mprt::Comm& comm, mprt::ScheduleOracle& oracle,
 /// the fold order instead.
 template <Combinable Op>
 void state_reduce_unordered(mprt::Comm& comm, const RankMap& map, int tag,
-                            Op& op, const Op& prototype,
-                            int arity = kUnorderedArity) {
+                            Op& op, int arity = kUnorderedArity) {
   const int first_child = arity * map.pos + 1;
   const int num_children =
       first_child >= map.size ? 0 : std::min(arity, map.size - first_child);
@@ -311,11 +324,11 @@ void state_reduce_unordered(mprt::Comm& comm, const RankMap& map, int tag,
   mprt::ScheduleOracle* oracle = comm.schedule_oracle();
   if (oracle != nullptr && num_children > 1) {
     for (const mprt::Message& msg : fan_in) comm.charge_receive(msg);
-    oracle_fold_messages(comm, *oracle, op, prototype, std::move(fan_in));
+    oracle_fold_messages(comm, *oracle, op, std::move(fan_in));
   } else {
     for (mprt::Message& msg : fan_in) {
       comm.charge_receive(msg);
-      combine_received_state(comm, op, prototype, std::move(msg));
+      combine_received_state(comm, op, std::move(msg));
     }
   }
   if (map.pos != 0) {
@@ -384,7 +397,7 @@ void state_allreduce_ring(mprt::Comm& comm, Op& op) {
 template <Combinable Op>
   requires PartitionableState<Op>
 void state_allreduce_rabenseifner(mprt::Comm& comm, const RankMap& map,
-                                  int tag, Op& op, const Op& prototype) {
+                                  int tag, Op& op) {
   const int pos = map.pos;
   const std::size_t n = op.part_extent();
   const int pof2 = 1 << mprt::topology::floor_log2(map.size);
@@ -399,8 +412,7 @@ void state_allreduce_rabenseifner(mprt::Comm& comm, const RankMap& map,
       load_received_state(comm, op, comm.recv_message(map.rank(pos - 1), tag));
       return;
     }
-    combine_received_state(comm, op, prototype,
-                           comm.recv_message(map.rank(pos + 1), tag));
+    combine_received_state(comm, op, comm.recv_message(map.rank(pos + 1), tag));
     vpos = pos / 2;
   } else {
     vpos = pos - rem;
@@ -450,11 +462,10 @@ void state_allreduce_rabenseifner(mprt::Comm& comm, const RankMap& map,
 /// The flat Rabenseifner allreduce on a fresh collective tag.
 template <Combinable Op>
   requires PartitionableState<Op>
-void state_allreduce_rabenseifner(mprt::Comm& comm, Op& op,
-                                  const Op& prototype) {
+void state_allreduce_rabenseifner(mprt::Comm& comm, Op& op) {
   if (comm.size() == 1) return;
   state_allreduce_rabenseifner(comm, whole(comm), comm.next_collective_tag(),
-                               op, prototype);
+                               op);
 }
 
 // -- Exclusive scan -----------------------------------------------------------

@@ -205,11 +205,13 @@ class Comm {
 
   // -- Typed point-to-point -----------------------------------------------
 
-  /// Sends one trivially-copyable value.
+  /// Sends one trivially-copyable value, through the span overload: a
+  /// value of at most Message::kInlineCapacity bytes is copied into the
+  /// Message and allocates nothing.
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void send(int dest, int tag, const T& value) {
-    send_bytes(dest, tag, bytes::to_bytes(value));
+    send_bytes(dest, tag, std::as_bytes(std::span<const T, 1>(&value, 1)));
   }
 
   /// Receives one trivially-copyable value.

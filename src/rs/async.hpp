@@ -82,28 +82,18 @@ class Future {
 
 namespace detail {
 
-/// Shared home for the operator state while the combine is in flight.
-/// Owned jointly by the operation's body (in the progress engine) and by
-/// the Future's finalize closure, so it survives whichever is dropped
-/// first.
-template <typename Op>
-struct AsyncOpState {
-  Op op;
-  Op prototype;
-  AsyncOpState(Op op_, Op prototype_)
-      : op(std::move(op_)), prototype(std::move(prototype_)) {}
-};
-
 /// Launches state_allreduce, autotuner included, for an already-
-/// accumulated operator state on the rank's progress engine.
+/// accumulated operator state on the rank's progress engine.  The state is
+/// owned jointly by the operation's body and by the Future's finalize
+/// closure, so it survives whichever is dropped first.
 template <Combinable Op>
-coll::nb::Request launch_state_allreduce(
-    mprt::Comm& comm, std::shared_ptr<AsyncOpState<Op>> state,
-    bool commutative) {
+coll::nb::Request launch_state_allreduce(mprt::Comm& comm,
+                                         std::shared_ptr<Op> state,
+                                         bool commutative) {
   if (comm.size() == 1) return coll::nb::Request{};
   return coll::nb::ProgressEngine::current().launch(
       comm, [state, commutative](mprt::Comm& c) {
-        state_allreduce(c, state->op, state->prototype, commutative);
+        state_allreduce(c, *state, commutative);
       });
 }
 
@@ -113,7 +103,9 @@ coll::nb::Request launch_state_allreduce(
 /// (local compute, charged to the clock), starts the cross-rank combine in
 /// the background, and returns a future whose get() yields the same value
 /// on every rank as rs::reduce.  Interleave coll::nb::poll() with your
-/// compute to overlap the combine with it.
+/// compute to overlap the combine with it.  Copies of a Future share its
+/// state, so get() generates from it as an lvalue: the one state copy an
+/// array result costs here.
 ///
 ///   auto fut = rs::reduce_async(comm, my_slice, ops::MinK<int>(10));
 ///   for (auto& chunk : work) { process(chunk); coll::nb::poll(); }
@@ -121,14 +113,12 @@ coll::nb::Request launch_state_allreduce(
 template <typename Op, std::ranges::input_range R>
   requires ReductionOp<Op, std::ranges::range_value_t<R>>
 Future<reduce_result_t<Op>> reduce_async(mprt::Comm& comm, R&& local, Op op) {
-  const Op prototype = op;
   detail::accumulate_local(comm, op, std::forward<R>(local));
-  auto state = std::make_shared<detail::AsyncOpState<Op>>(std::move(op),
-                                                          prototype);
+  auto state = std::make_shared<Op>(std::move(op));
   auto request =
       detail::launch_state_allreduce(comm, state, op_commutative<Op>());
   return Future<reduce_result_t<Op>>(
-      request, [state]() { return red_result(state->op); });
+      request, [state]() { return red_result(*state); });
 }
 
 /// Asynchronous global-view scan.  Accumulates the local slice now, runs
@@ -144,25 +134,25 @@ scan_async(mprt::Comm& comm, R&& local, Op op,
   using In = std::ranges::range_value_t<R>;
   using Out = scan_result_t<Op, In>;
 
-  const Op prototype = op;
+  // The scan keeps an identity beside the state: rank 0's exclusive prefix.
+  auto identity = std::make_shared<const Op>(op);
   detail::accumulate_local(comm, op, local);
   auto slice = std::make_shared<std::vector<In>>(std::ranges::begin(local),
                                                  std::ranges::end(local));
-  auto state = std::make_shared<detail::AsyncOpState<Op>>(std::move(op),
-                                                          prototype);
+  auto state = std::make_shared<Op>(std::move(op));
 
   coll::nb::Request request;
   if (comm.size() > 1) {
     request = coll::nb::ProgressEngine::current().launch(
-        comm, [state](mprt::Comm& c) {
-          detail::state_xscan(c, state->op, state->prototype);
+        comm, [state, identity](mprt::Comm& c) {
+          detail::state_xscan(c, *state, *identity);
         });
   } else {
-    state->op = prototype;  // exclusive prefix of rank 0 is the identity
+    *state = *identity;  // exclusive prefix of rank 0 is the identity
   }
 
   auto finalize = [state, slice, kind, comm = &comm]() {
-    return detail::scan_replay(*comm, state->op, *slice, kind);
+    return detail::scan_replay(*comm, *state, *slice, kind);
   };
   return Future<std::vector<Out>>(request, std::move(finalize));
 }

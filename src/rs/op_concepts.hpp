@@ -18,12 +18,16 @@
 //     absent, as in Chapel (§3.1.4);
 //   * state travels between ranks either by memcpy (trivially copyable
 //     operators) or through `save(bytes::Writer&)` / `load(bytes::Reader&)`
-//     for operators with heap state.
+//     for operators with heap state.  `load` overwrites the whole state:
+//     the runtime decodes into a copy of a live state, never of an
+//     identity, when it has to decode at all.
 //
 // Because operators may take runtime constructor arguments (e.g. mink's
 // k), the algorithms never default-construct them: the caller passes a
 // freshly-constructed *prototype* in identity state, and fresh identities
-// are obtained by copying it.
+// are obtained by copying it.  Only the scans need a second identity (rank
+// 0's exclusive prefix); the reductions copy no state, except to decode a
+// peer's bytes for an operator without combine_from_bytes.
 //
 // Prototypes must be cheap to clone.  The parallel local accumulate
 // (src/par/, docs/parallel_local.md) copies the prototype once per input
@@ -214,13 +218,15 @@ void post_accum_if(Op& op, const In& last) {
   if constexpr (HasPostAccum<Op, In>) op.post_accum(last);
 }
 
-/// The reduction generate function: red_gen when present, else gen.
+/// The reduction generate function: red_gen when present, else gen.  An
+/// expiring state calls it as an rvalue, so an operator with a
+/// `red_gen() &&` overload can move its result out instead of copying it.
 template <typename Op>
-[[nodiscard]] auto red_result(const Op& op) {
-  if constexpr (HasRedGen<Op>) {
-    return op.red_gen();
+[[nodiscard]] auto red_result(Op&& op) {
+  if constexpr (HasRedGen<std::remove_cvref_t<Op>>) {
+    return std::forward<Op>(op).red_gen();
   } else {
-    return op.gen();
+    return std::forward<Op>(op).gen();
   }
 }
 
@@ -290,15 +296,16 @@ void load_op_into(Op& op, std::span<const std::byte> data) {
 
 /// Folds a serialized peer state into `op`: op = op (+) decode(data).
 /// Uses the operator's combine_from_bytes hook when present (combining
-/// straight out of the receive buffer); otherwise materializes a temporary
-/// operator from the prototype and combines it.
+/// straight out of the receive buffer); otherwise decodes into a copy of
+/// `op` and combines that.  The copy supplies the operator's configuration
+/// only: a load overwrites the whole state, so the copy need not be an
+/// identity.
 template <typename Op>
-void combine_op_from_bytes(Op& op, const Op& prototype,
-                           std::span<const std::byte> data) {
+void combine_op_from_bytes(Op& op, std::span<const std::byte> data) {
   if constexpr (HasCombineFromBytes<Op>) {
     op.combine_from_bytes(data);
   } else {
-    Op other(prototype);
+    Op other(op);
     load_op_into(other, data);
     op.combine(other);
   }

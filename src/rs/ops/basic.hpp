@@ -4,10 +4,13 @@
 // same reduce/scan machinery as user-defined operators.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <span>
+#include <type_traits>
 
 #include "util/bytes.hpp"
 #include "util/error.hpp"
@@ -58,6 +61,135 @@ class ScalarPartitionable {
   static void check_range(std::size_t lo, std::size_t hi) {
     if (lo > hi || hi > 1) {
       throw ProtocolError("scalar operator: segment range out of bounds");
+    }
+  }
+};
+
+/// Element folds an array state may name: acc = acc (+) x.
+struct FoldAdd {
+  template <typename T>
+  void operator()(T& acc, T x) const {
+    acc += x;
+  }
+};
+struct FoldMax {
+  template <typename T>
+  void operator()(T& acc, T x) const {
+    acc = std::max(acc, x);
+  }
+};
+struct FoldOr {
+  template <typename T>
+  void operator()(T& acc, T x) const {
+    acc |= x;
+  }
+};
+
+/// Protocol hooks for an operator whose state is one std::vector of
+/// trivially copyable elements.  The operator names the vector once, in a
+/// private static member that ArrayState, a friend, calls:
+///
+///   static auto& elems(auto& self) { return self.v_; }
+///
+/// and names its element fold (FoldAdd, FoldMax, FoldOr; void for none)
+/// when its combine is that fold applied element by element.  The wire form is the
+/// vector's bytes::Writer::put_span form: a 64-bit element count, then the
+/// elements.  The count is configuration, fixed at construction: a load or
+/// fold whose count differs throws ProtocolError.  Derived from that:
+///
+///   * wire_bytes(), save() and load(), which overwrites the elements in
+///     place, for every array state;
+///   * combine_from_bytes(), when a fold is named: the fold applied
+///     straight out of the receive buffer;
+///   * the partitionable-state hooks, when kPartitionable is set (a fold is
+///     then required): element ranges travel as raw elements, with no
+///     count, and fold independently.
+template <typename Derived, typename T, typename Fold = void,
+          bool kPartitionable = false>
+  requires std::is_trivially_copyable_v<T> &&
+           (!kPartitionable || !std::is_void_v<Fold>)
+class ArrayState {
+ public:
+  [[nodiscard]] std::size_t wire_bytes() const {
+    return sizeof(std::uint64_t) + array().size_bytes();
+  }
+  void save(bytes::Writer& w) const { w.put_span(array()); }
+  void load(bytes::Reader& r) { r.get_span(array()); }
+
+  void combine_from_bytes(std::span<const std::byte> data)
+    requires(!std::is_void_v<Fold>)
+  {
+    bytes::Reader r(data);
+    std::uint64_t n = 0;
+    const auto raw = r.get_counted_raw<T>(&n);
+    if (n != array().size() || !r.exhausted()) {
+      throw ProtocolError("array state: mismatched element count in combine");
+    }
+    fold_raw(0, raw);
+  }
+
+  [[nodiscard]] std::size_t part_extent() const
+    requires kPartitionable
+  {
+    return array().size();
+  }
+  [[nodiscard]] std::size_t part_bytes(std::size_t lo, std::size_t hi) const
+    requires kPartitionable
+  {
+    return (hi - lo) * sizeof(T);
+  }
+  void save_part(std::size_t lo, std::size_t hi, bytes::Writer& w) const
+    requires kPartitionable
+  {
+    check_range(lo, hi);
+    w.put_raw(std::as_bytes(array().subspan(lo, hi - lo)));
+  }
+  void load_part(std::size_t lo, std::size_t hi,
+                 std::span<const std::byte> data)
+    requires kPartitionable
+  {
+    check_segment(lo, hi, data);
+    if (!data.empty()) {
+      std::memcpy(array().data() + lo, data.data(), data.size());
+    }
+  }
+  void combine_part(std::size_t lo, std::size_t hi,
+                    std::span<const std::byte> data)
+    requires kPartitionable
+  {
+    check_segment(lo, hi, data);
+    fold_raw(lo, data);
+  }
+
+ private:
+  [[nodiscard]] std::span<T> array() {
+    return Derived::elems(static_cast<Derived&>(*this));
+  }
+  [[nodiscard]] std::span<const T> array() const {
+    return Derived::elems(static_cast<const Derived&>(*this));
+  }
+
+  /// array()[lo + i] = array()[lo + i] (+) element i of `raw`, whose
+  /// elements have byte alignment only.
+  void fold_raw(std::size_t lo, std::span<const std::byte> raw) {
+    T* out = array().data() + lo;
+    const std::byte* p = raw.data();
+    for (T* const end = out + raw.size() / sizeof(T); out != end;
+         ++out, p += sizeof(T)) {
+      Fold{}(*out, bytes::load_unaligned<T>(p));
+    }
+  }
+
+  void check_range(std::size_t lo, std::size_t hi) const {
+    if (lo > hi || hi > array().size()) {
+      throw ProtocolError("array state: segment range out of bounds");
+    }
+  }
+  void check_segment(std::size_t lo, std::size_t hi,
+                     std::span<const std::byte> data) const {
+    check_range(lo, hi);
+    if (data.size() != (hi - lo) * sizeof(T)) {
+      throw ProtocolError("array state: segment arrived with mismatched size");
     }
   }
 };

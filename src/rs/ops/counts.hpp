@@ -13,17 +13,20 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
-#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "util/bytes.hpp"
+#include "rs/ops/basic.hpp"
 #include "util/error.hpp"
 
 namespace rsmpi::rs::ops {
 
-class Counts {
+/// Bucket occupancies are an array state (rs/ops/basic.hpp): the vector of
+/// counts is the wire form, folds element-wise by addition, and is
+/// partitionable into bucket ranges.
+class Counts
+    : public ArrayState<Counts, long, FoldAdd, /*partitionable=*/true> {
  public:
   static constexpr bool commutative = true;
 
@@ -58,8 +61,10 @@ class Counts {
     for (std::size_t i = 0; i < v_.size(); ++i) v_[i] -= other.v_[i];
   }
 
-  /// Reduction output: occupancy per bucket.
-  [[nodiscard]] std::vector<long> red_gen() const { return v_; }
+  /// Reduction output: occupancy per bucket.  An expiring state moves its
+  /// counts out.
+  [[nodiscard]] std::vector<long> red_gen() const& { return v_; }
+  [[nodiscard]] std::vector<long> red_gen() && { return std::move(v_); }
 
   /// Scan output at a position holding value x: the number of occurrences
   /// of bucket x seen so far — in an inclusive scan, x's 1-based rank
@@ -68,66 +73,9 @@ class Counts {
     return v_[static_cast<std::size_t>(x)];
   }
 
-  void save(bytes::Writer& w) const { w.put_vector(v_); }
-  void load(bytes::Reader& r) {
-    auto v = r.get_vector<long>();
-    if (v.size() != v_.size()) {
-      throw ProtocolError("Counts: state arrived with mismatched size");
-    }
-    v_ = std::move(v);
-  }
-
-  /// Zero-copy combine: folds a peer's serialized occupancies straight out
-  /// of the receive buffer (no intermediate Counts construction).
-  void combine_from_bytes(std::span<const std::byte> data) {
-    bytes::Reader r(data);
-    std::uint64_t n = 0;
-    const auto raw = r.get_counted_raw<long>(&n);
-    if (n != v_.size() || !r.exhausted()) {
-      throw ProtocolError("Counts: mismatched bucket counts in combine");
-    }
-    const std::byte* p = raw.data();
-    for (std::size_t i = 0; i < v_.size(); ++i, p += sizeof(long)) {
-      v_[i] += bytes::load_unaligned<long>(p);
-    }
-  }
-
-  // Partitionable-state hooks (ISSUE 5): each bucket combines
-  // independently, so segmented schedules may ship and fold bucket ranges.
-  [[nodiscard]] std::size_t part_extent() const { return v_.size(); }
-  [[nodiscard]] std::size_t part_bytes(std::size_t lo, std::size_t hi) const {
-    return (hi - lo) * sizeof(long);
-  }
-  void save_part(std::size_t lo, std::size_t hi, bytes::Writer& w) const {
-    check_range(lo, hi);
-    w.put_raw(std::as_bytes(std::span<const long>(v_).subspan(lo, hi - lo)));
-  }
-  void load_part(std::size_t lo, std::size_t hi,
-                 std::span<const std::byte> data) {
-    check_range(lo, hi);
-    if (data.size() != (hi - lo) * sizeof(long)) {
-      throw ProtocolError("Counts: segment arrived with mismatched size");
-    }
-    if (!data.empty()) std::memcpy(v_.data() + lo, data.data(), data.size());
-  }
-  void combine_part(std::size_t lo, std::size_t hi,
-                    std::span<const std::byte> data) {
-    check_range(lo, hi);
-    if (data.size() != (hi - lo) * sizeof(long)) {
-      throw ProtocolError("Counts: segment arrived with mismatched size");
-    }
-    const std::byte* p = data.data();
-    for (std::size_t i = lo; i < hi; ++i, p += sizeof(long)) {
-      v_[i] += bytes::load_unaligned<long>(p);
-    }
-  }
-
  private:
-  void check_range(std::size_t lo, std::size_t hi) const {
-    if (lo > hi || hi > v_.size()) {
-      throw ProtocolError("Counts: segment range out of bounds");
-    }
-  }
+  friend ArrayState;
+  static auto& elems(auto& self) { return self.v_; }
 
   std::vector<long> v_;
 };

@@ -67,10 +67,8 @@ class Fuse {
     w.put_vector(save_op(b_));
   }
   void load(bytes::Reader& r) {
-    const auto ra = r.get_vector<std::byte>();
-    a_ = load_op(a_, ra);
-    const auto rb = r.get_vector<std::byte>();
-    b_ = load_op(b_, rb);
+    load_op_into(a_, r.get_counted_raw<std::byte>());
+    load_op_into(b_, r.get_counted_raw<std::byte>());
   }
 
  private:

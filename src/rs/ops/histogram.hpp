@@ -6,20 +6,23 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
-#include <span>
+#include <utility>
 #include <vector>
 
-#include "util/bytes.hpp"
+#include "rs/ops/basic.hpp"
 #include "util/error.hpp"
 
 namespace rsmpi::rs::ops {
 
 /// Bins values into [edges[i], edges[i+1]) intervals; values below the
 /// first edge or at/above the last are counted in two overflow bins.
+///
+/// The occupancy vector is an array state (rs/ops/basic.hpp): it is the
+/// wire form, folds element-wise by addition, and is partitionable into
+/// bin ranges.  The edges stay prototype configuration and never travel.
 template <typename T>
-class Histogram {
+class Histogram : public ArrayState<Histogram<T>, long, FoldAdd,
+                                    /*partitionable=*/true> {
  public:
   static constexpr bool commutative = true;
 
@@ -56,7 +59,9 @@ class Histogram {
   }
 
   /// Reduction output: interior bins first, then underflow and overflow.
-  [[nodiscard]] std::vector<long> red_gen() const { return counts_; }
+  /// An expiring state moves its counts out.
+  [[nodiscard]] std::vector<long> red_gen() const& { return counts_; }
+  [[nodiscard]] std::vector<long> red_gen() && { return std::move(counts_); }
 
   /// Scan output: occurrences so far in x's own bin (x's running rank
   /// within its bin, 1-based under an inclusive scan).
@@ -70,80 +75,9 @@ class Histogram {
   }
   [[nodiscard]] long overflow() const { return counts_.back(); }
 
-  void save(bytes::Writer& w) const { w.put_vector(counts_); }
-  void load(bytes::Reader& r) {
-    auto v = r.get_vector<long>();
-    if (v.size() != counts_.size()) {
-      throw ProtocolError("Histogram: state arrived with mismatched size");
-    }
-    counts_ = std::move(v);
-  }
-
-  // Zero-copy hooks (same wire format as save/load): serialize into a
-  // pooled writer, overwrite the occupancy vector in place, and fold a
-  // peer's serialized occupancies straight out of the receive buffer.
-  void save_into(bytes::Writer& w) const { w.put_vector(counts_); }
-  void load_from(bytes::Reader& r) {
-    std::uint64_t n = 0;
-    const auto raw = r.get_counted_raw<long>(&n);
-    if (n != counts_.size()) {
-      throw ProtocolError("Histogram: state arrived with mismatched size");
-    }
-    if (!raw.empty()) std::memcpy(counts_.data(), raw.data(), raw.size());
-  }
-  void combine_from_bytes(std::span<const std::byte> data) {
-    bytes::Reader r(data);
-    std::uint64_t n = 0;
-    const auto raw = r.get_counted_raw<long>(&n);
-    if (n != counts_.size() || !r.exhausted()) {
-      throw ProtocolError("Histogram: mismatched bin counts in combine");
-    }
-    const std::byte* p = raw.data();
-    for (std::size_t i = 0; i < counts_.size(); ++i, p += sizeof(long)) {
-      counts_[i] += bytes::load_unaligned<long>(p);
-    }
-  }
-
-  // Partitionable-state hooks (ISSUE 5): the occupancy vector is
-  // element-wise additive, so bin ranges combine independently.  The edges
-  // stay prototype configuration and never travel.
-  [[nodiscard]] std::size_t part_extent() const { return counts_.size(); }
-  [[nodiscard]] std::size_t part_bytes(std::size_t lo, std::size_t hi) const {
-    return (hi - lo) * sizeof(long);
-  }
-  void save_part(std::size_t lo, std::size_t hi, bytes::Writer& w) const {
-    check_range(lo, hi);
-    w.put_raw(
-        std::as_bytes(std::span<const long>(counts_).subspan(lo, hi - lo)));
-  }
-  void load_part(std::size_t lo, std::size_t hi,
-                 std::span<const std::byte> data) {
-    check_range(lo, hi);
-    if (data.size() != (hi - lo) * sizeof(long)) {
-      throw ProtocolError("Histogram: segment arrived with mismatched size");
-    }
-    if (!data.empty()) {
-      std::memcpy(counts_.data() + lo, data.data(), data.size());
-    }
-  }
-  void combine_part(std::size_t lo, std::size_t hi,
-                    std::span<const std::byte> data) {
-    check_range(lo, hi);
-    if (data.size() != (hi - lo) * sizeof(long)) {
-      throw ProtocolError("Histogram: segment arrived with mismatched size");
-    }
-    const std::byte* p = data.data();
-    for (std::size_t i = lo; i < hi; ++i, p += sizeof(long)) {
-      counts_[i] += bytes::load_unaligned<long>(p);
-    }
-  }
-
  private:
-  void check_range(std::size_t lo, std::size_t hi) const {
-    if (lo > hi || hi > counts_.size()) {
-      throw ProtocolError("Histogram: segment range out of bounds");
-    }
-  }
+  friend ArrayState<Histogram, long, FoldAdd, /*partitionable=*/true>;
+  static auto& elems(auto& self) { return self.counts_; }
 
   /// Index layout: [0, nbins) interior, nbins = underflow, nbins+1 = over.
   [[nodiscard]] std::size_t bin_of(const T& x) const {

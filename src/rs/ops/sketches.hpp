@@ -15,9 +15,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <span>
 #include <vector>
 
+#include "rs/ops/basic.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 
@@ -43,9 +43,12 @@ std::uint64_t sketch_hash(const T& x, std::uint64_t salt = 0) {
 
 /// Approximate count of distinct values (HyperLogLog).  State: 2^b
 /// 6-bit-ish registers; combine is the element-wise maximum, so the
-/// operator is commutative and idempotent.
+/// operator is commutative and idempotent.  The registers are an array
+/// state (rs/ops/basic.hpp) folded by FoldMax; they are not offered to the
+/// segmented schedules.
 template <typename T>
-class HyperLogLog {
+class HyperLogLog : public ArrayState<HyperLogLog<T>, std::uint8_t,
+                                      FoldMax> {
  public:
   static constexpr bool commutative = true;
 
@@ -95,31 +98,10 @@ class HyperLogLog {
     return est;
   }
 
-  void save(bytes::Writer& w) const { w.put_vector(registers_); }
-  void load(bytes::Reader& r) {
-    auto v = r.get_vector<std::uint8_t>();
-    if (v.size() != registers_.size()) {
-      throw ProtocolError("HyperLogLog: state arrived with wrong size");
-    }
-    registers_ = std::move(v);
-  }
-
-  /// Zero-copy combine: register-wise max straight out of the receive
-  /// buffer (byte-sized registers need no alignment handling).
-  void combine_from_bytes(std::span<const std::byte> data) {
-    bytes::Reader r(data);
-    std::uint64_t n = 0;
-    const auto raw = r.get_counted_raw<std::uint8_t>(&n);
-    if (n != registers_.size() || !r.exhausted()) {
-      throw ProtocolError("HyperLogLog: mismatched precision in combine");
-    }
-    for (std::size_t i = 0; i < registers_.size(); ++i) {
-      registers_[i] =
-          std::max(registers_[i], static_cast<std::uint8_t>(raw[i]));
-    }
-  }
-
  private:
+  friend ArrayState<HyperLogLog, std::uint8_t, FoldMax>;
+  static auto& elems(auto& self) { return self.registers_; }
+
   int b_;
   std::vector<std::uint8_t> registers_;
 };
@@ -228,10 +210,12 @@ class HeavyHitters {
 /// Approximate-membership filter (Bloom).  Combine is the bitwise OR of
 /// the bit arrays; queries after the reduction answer "possibly present"
 /// with a false-positive rate set by the sizing, and never a false
-/// negative.
+/// negative.  The words are an array state (rs/ops/basic.hpp) folded by
+/// FoldOr; they are not offered to the segmented schedules.
 template <typename T>
   requires std::is_integral_v<T>
-class BloomFilter {
+class BloomFilter : public ArrayState<BloomFilter<T>, std::uint64_t,
+                                      FoldOr> {
  public:
   static constexpr bool commutative = true;
 
@@ -274,31 +258,10 @@ class BloomFilter {
     return static_cast<double>(set) / static_cast<double>(nbits_);
   }
 
-  void save(bytes::Writer& w) const { w.put_vector(words_); }
-  void load(bytes::Reader& r) {
-    auto v = r.get_vector<std::uint64_t>();
-    if (v.size() != words_.size()) {
-      throw ProtocolError("BloomFilter: state arrived with wrong size");
-    }
-    words_ = std::move(v);
-  }
-
-  /// Zero-copy combine: bitwise OR straight out of the receive buffer
-  /// (words read unaligned).
-  void combine_from_bytes(std::span<const std::byte> data) {
-    bytes::Reader r(data);
-    std::uint64_t n = 0;
-    const auto raw = r.get_counted_raw<std::uint64_t>(&n);
-    if (n != words_.size() || !r.exhausted()) {
-      throw ProtocolError("BloomFilter: mismatched size in combine");
-    }
-    const std::byte* p = raw.data();
-    for (std::size_t i = 0; i < words_.size(); ++i, p += sizeof(std::uint64_t)) {
-      words_[i] |= bytes::load_unaligned<std::uint64_t>(p);
-    }
-  }
-
  private:
+  friend ArrayState<BloomFilter, std::uint64_t, FoldOr>;
+  static auto& elems(auto& self) { return self.words_; }
+
   [[nodiscard]] std::size_t bit_index(const T& x, int h) const {
     return static_cast<std::size_t>(
         detail::sketch_hash(x, 0x5bd1e995u * static_cast<unsigned>(h + 1)) %

@@ -45,6 +45,7 @@
 #include <span>
 #include <vector>
 
+#include "rs/ops/basic.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 
@@ -77,7 +78,11 @@ struct TsqrResult {
   friend bool operator==(const TsqrResult&, const TsqrResult&) = default;
 };
 
-class TSQR {
+/// The packed R factor is an array state (rs/ops/basic.hpp), which gives
+/// the operator its save, load and wire size; the merge is not
+/// element-wise, so combine_from_bytes and the column-panel hooks are
+/// TSQR's own.
+class TSQR : public ArrayState<TSQR, double> {
  public:
   static constexpr bool commutative = false;
 
@@ -113,20 +118,6 @@ class TSQR {
   }
 
   [[nodiscard]] TsqrResult gen() const { return TsqrResult{k_, r_}; }
-
-  // -- serialization ---------------------------------------------------------
-
-  void save(bytes::Writer& w) const { w.put_vector(r_); }
-  void save_into(bytes::Writer& w) const { save(w); }
-
-  void load(bytes::Reader& r) {
-    auto v = r.get_vector<double>();
-    if (v.size() != r_.size()) {
-      throw ProtocolError("TSQR: state arrived with mismatched size");
-    }
-    r_ = std::move(v);
-  }
-  void load_from(bytes::Reader& r) { r.get_span(std::span<double>(r_)); }
 
   /// Zero-copy combine: stream the peer's serialized columns directly out
   /// of the (unaligned) receive buffer, no temporary operator.
@@ -220,6 +211,9 @@ class TSQR {
   }
 
  private:
+  friend ArrayState;
+  static auto& elems(auto& self) { return self.r_; }
+
   /// One logged Givens rotation: generated at `col`, mixing R row `col`
   /// with one peer row.
   struct Rotation {

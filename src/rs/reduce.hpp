@@ -92,15 +92,15 @@ template <typename Op, std::ranges::input_range R>
   requires ReductionOp<Op, std::ranges::range_value_t<R>>
 Op reduce_state(mprt::Comm& comm, R&& local, Op op,
                 std::optional<bool> commutative_override = std::nullopt) {
-  const Op prototype = op;  // identity copy, kept for deserialization
   detail::accumulate_local(comm, op, std::forward<R>(local));
-  detail::state_allreduce(comm, op, prototype,
+  detail::state_allreduce(comm, op,
                           commutative_override.value_or(op_commutative<Op>()));
   return op;
 }
 
 /// Global-view reduction; the generated result is returned on every rank
-/// (Chapel's reduce expression yields its value wherever it is used).
+/// (Chapel's reduce expression yields its value wherever it is used).  The
+/// combined state expires here, so it generates as an rvalue.
 ///
 ///   auto mins = rs::reduce(comm, my_slice, ops::MinK<int>(10));
 template <typename Op, std::ranges::input_range R>
@@ -125,10 +125,9 @@ template <typename Op, std::ranges::input_range R>
   requires ReductionOp<Op, std::ranges::range_value_t<R>>
 std::optional<reduce_result_t<Op>> reduce_root(mprt::Comm& comm, int root,
                                                R&& local, Op op) {
-  const Op prototype = op;
   detail::accumulate_local(comm, op, std::forward<R>(local));
   if (comm.size() > 1) {
-    detail::state_reduce_to_zero(comm, op, prototype);
+    detail::state_reduce_to_zero(comm, op);
     if (root != 0) {
       const int tag = comm.next_collective_tag();
       if (comm.rank() == 0) {
@@ -139,7 +138,7 @@ std::optional<reduce_result_t<Op>> reduce_root(mprt::Comm& comm, int root,
     }
   }
   if (comm.rank() != root) return std::nullopt;
-  return red_result(op);
+  return red_result(std::move(op));
 }
 
 }  // namespace rsmpi::rs

@@ -113,11 +113,9 @@ inline Schedule choose_allreduce_schedule(const mprt::CostModel& model, int p,
 /// operator produces order-dependent results the exhaustive explorer must
 /// catch with a minimal replayable trace.
 template <Combinable Op>
-void state_allreduce_mutation_unordered(mprt::Comm& comm, Op& op,
-                                        const Op& prototype) {
+void state_allreduce_mutation_unordered(mprt::Comm& comm, Op& op) {
   if (comm.size() == 1) return;
-  state_reduce_unordered(comm, whole(comm), comm.next_collective_tag(), op,
-                         prototype);
+  state_reduce_unordered(comm, whole(comm), comm.next_collective_tag(), op);
   state_bcast_binomial(comm, whole(comm), comm.next_collective_tag(), op);
 }
 
@@ -128,7 +126,7 @@ void state_allreduce_mutation_unordered(mprt::Comm& comm, Op& op,
 /// model strictly prefers it (large states); the pipeline is
 /// order-preserving, so this holds for non-commutative operators too.
 template <Combinable Op>
-void state_reduce_to_zero(mprt::Comm& comm, Op& op, const Op& prototype,
+void state_reduce_to_zero(mprt::Comm& comm, Op& op,
                           bool commutative = op_commutative<Op>()) {
   if (comm.size() == 1) return;
   if constexpr (PartitionableState<Op>) {
@@ -147,10 +145,9 @@ void state_reduce_to_zero(mprt::Comm& comm, Op& op, const Op& prototype,
     }
   }
   if (commutative) {
-    state_reduce_unordered(comm, whole(comm), comm.next_collective_tag(), op,
-                           prototype);
+    state_reduce_unordered(comm, whole(comm), comm.next_collective_tag(), op);
   } else {
-    state_reduce_binomial(comm, op, prototype);
+    state_reduce_binomial(comm, op);
   }
 }
 
@@ -160,10 +157,9 @@ void state_reduce_to_zero(mprt::Comm& comm, Op& op, const Op& prototype,
 /// baseline the butterfly is benchmarked against.
 template <Combinable Op>
 void state_allreduce_reduce_bcast(mprt::Comm& comm, Op& op,
-                                  const Op& prototype,
                                   bool commutative = op_commutative<Op>()) {
   if (comm.size() == 1) return;
-  state_reduce_to_zero(comm, op, prototype, commutative);
+  state_reduce_to_zero(comm, op, commutative);
   state_bcast_binomial(comm, whole(comm), comm.next_collective_tag(), op);
 }
 
@@ -175,7 +171,7 @@ void state_allreduce_reduce_bcast(mprt::Comm& comm, Op& op,
 /// state into a butterfly member first and receive the finished result
 /// back at the end (2 extra rounds for those ranks only).
 template <Combinable Op>
-void state_allreduce_butterfly(mprt::Comm& comm, Op& op, const Op& prototype) {
+void state_allreduce_butterfly(mprt::Comm& comm, Op& op) {
   const int p = comm.size();
   if (p == 1) return;
   const int tag = comm.next_collective_tag();
@@ -190,14 +186,12 @@ void state_allreduce_butterfly(mprt::Comm& comm, Op& op, const Op& prototype) {
     return;
   }
   if (rank + p2 < p) {
-    combine_received_state(comm, op, prototype,
-                           comm.recv_message(rank + p2, tag));
+    combine_received_state(comm, op, comm.recv_message(rank + p2, tag));
   }
   for (int d = 1; d < p2; d <<= 1) {
     const int partner = rank ^ d;
     send_state(comm, partner, tag, op);
-    combine_received_state(comm, op, prototype,
-                           comm.recv_message(partner, tag));
+    combine_received_state(comm, op, comm.recv_message(partner, tag));
   }
   if (rank + p2 < p) {
     send_state(comm, rank + p2, tag, op);
@@ -213,7 +207,7 @@ void state_allreduce_butterfly(mprt::Comm& comm, Op& op, const Op& prototype) {
 /// fall back to the whole-state butterfly for any segmented schedule name.
 template <Combinable Op>
 void state_allreduce_with_schedule(mprt::Comm& comm, Op& op,
-                                   const Op& prototype, Schedule schedule,
+                                   Schedule schedule,
                                    std::size_t segment_bytes,
                                    bool commutative) {
   if (comm.size() == 1) return;
@@ -223,20 +217,19 @@ void state_allreduce_with_schedule(mprt::Comm& comm, Op& op,
     // on a two-tier model; everything else takes the flat reduce+bcast.
     if (schedule == Schedule::kHierarchical &&
         comm.cost_model().two_tier()) {
-      state_allreduce_hierarchical(comm, op, prototype,
-                                   /*commutative=*/false);
+      state_allreduce_hierarchical(comm, op, /*commutative=*/false);
       return;
     }
-    state_allreduce_reduce_bcast(comm, op, prototype, /*commutative=*/false);
+    state_allreduce_reduce_bcast(comm, op, /*commutative=*/false);
     return;
   }
   if constexpr (PartitionableState<Op>) {
     switch (schedule) {
       case Schedule::kTwoMessage:
-        state_allreduce_reduce_bcast(comm, op, prototype, /*commutative=*/true);
+        state_allreduce_reduce_bcast(comm, op, /*commutative=*/true);
         return;
       case Schedule::kRabenseifner:
-        state_allreduce_rabenseifner(comm, op, prototype);
+        state_allreduce_rabenseifner(comm, op);
         return;
       case Schedule::kRing:
         state_allreduce_ring(comm, op);
@@ -245,21 +238,20 @@ void state_allreduce_with_schedule(mprt::Comm& comm, Op& op,
         state_allreduce_pipelined(comm, op, segment_bytes);
         return;
       case Schedule::kHierarchical:
-        state_allreduce_hierarchical(comm, op, prototype,
-                                     /*commutative=*/true);
+        state_allreduce_hierarchical(comm, op, /*commutative=*/true);
         return;
       case Schedule::kAuto:
       case Schedule::kButterfly:
-        state_allreduce_butterfly(comm, op, prototype);
+        state_allreduce_butterfly(comm, op);
         return;
     }
   } else {
     if (schedule == Schedule::kTwoMessage) {
-      state_allreduce_reduce_bcast(comm, op, prototype, /*commutative=*/true);
+      state_allreduce_reduce_bcast(comm, op, /*commutative=*/true);
     } else if (schedule == Schedule::kHierarchical) {
-      state_allreduce_hierarchical(comm, op, prototype, /*commutative=*/true);
+      state_allreduce_hierarchical(comm, op, /*commutative=*/true);
     } else {
-      state_allreduce_butterfly(comm, op, prototype);
+      state_allreduce_butterfly(comm, op);
     }
   }
 }
@@ -274,7 +266,7 @@ void state_allreduce_with_schedule(mprt::Comm& comm, Op& op,
 /// `commutative` override is used by the ablation benchmarks and by tests
 /// pinning a specific schedule.
 template <Combinable Op>
-void state_allreduce(mprt::Comm& comm, Op& op, const Op& prototype,
+void state_allreduce(mprt::Comm& comm, Op& op,
                      bool commutative = op_commutative<Op>()) {
   if (comm.size() == 1) return;
   if (!commutative) {
@@ -284,11 +276,10 @@ void state_allreduce(mprt::Comm& comm, Op& op, const Op& prototype,
     // ordered leader tier keeps it legal.
     if (schedule_from_env() == Schedule::kHierarchical &&
         comm.cost_model().two_tier()) {
-      state_allreduce_hierarchical(comm, op, prototype,
-                                   /*commutative=*/false);
+      state_allreduce_hierarchical(comm, op, /*commutative=*/false);
       return;
     }
-    state_allreduce_reduce_bcast(comm, op, prototype, /*commutative=*/false);
+    state_allreduce_reduce_bcast(comm, op, /*commutative=*/false);
     return;
   }
   const Schedule forced = schedule_from_env();
@@ -302,7 +293,7 @@ void state_allreduce(mprt::Comm& comm, Op& op, const Op& prototype,
                                            part_state_bytes(op), segment_bytes);
     }
   }
-  state_allreduce_with_schedule(comm, op, prototype, schedule, segment_bytes,
+  state_allreduce_with_schedule(comm, op, schedule, segment_bytes,
                                 /*commutative=*/true);
 }
 

@@ -49,7 +49,7 @@ class PersistentReduce {
   Op execute_state(R&& local) {
     Op op = prototype_;
     rs::detail::accumulate_local(*comm_, op, std::forward<R>(local));
-    coll::execute_planned_allreduce(*comm_, op, prototype_, plan_);
+    coll::execute_planned_allreduce(*comm_, op, plan_);
     return op;
   }
 
@@ -57,7 +57,7 @@ class PersistentReduce {
   /// path: keyed routing accumulates per-shard partials first).  Merges in
   /// place.
   void execute_combine(Op& op) {
-    coll::execute_planned_allreduce(*comm_, op, prototype_, plan_);
+    coll::execute_planned_allreduce(*comm_, op, plan_);
   }
 
   /// Convenience: epoch merge plus the reduction generate.

@@ -119,8 +119,7 @@ Scenario blocking_scenario(const std::string& op_name, int p,
   s.num_ranks = p;
   s.runner = detail::make_runner<Op>(p, [schedule](mprt::Comm& comm) {
     Op op = accumulated<Op>(comm.rank());
-    const Op prototype = make_prototype<Op>();
-    rs::detail::state_allreduce_with_schedule(comm, op, prototype, schedule,
+    rs::detail::state_allreduce_with_schedule(comm, op, schedule,
                                               kCheckerSegmentBytes,
                                               rs::op_commutative<Op>());
     return rs::red_result(op);
@@ -138,8 +137,7 @@ Scenario mutation_scenario(const std::string& op_name, int p) {
   s.num_ranks = p;
   s.runner = detail::make_runner<Op>(p, [](mprt::Comm& comm) {
     Op op = accumulated<Op>(comm.rank());
-    const Op prototype = make_prototype<Op>();
-    rs::detail::state_allreduce_mutation_unordered(comm, op, prototype);
+    rs::detail::state_allreduce_mutation_unordered(comm, op);
     return rs::red_result(op);
   });
   return s;
@@ -157,13 +155,12 @@ Scenario nb_tree_scenario(const std::string& op_name, int p) {
   s.name = op_name + "-nbtree-p" + std::to_string(p);
   s.num_ranks = p;
   s.runner = detail::make_runner<Op>(p, [](mprt::Comm& comm) {
-    const Op prototype = make_prototype<Op>();
     Op op = accumulated<Op>(comm.rank());
     auto request = coll::nb::ProgressEngine::current().launch(
         comm, [&](mprt::Comm& c) {
           rs::detail::state_allreduce_with_schedule(
-              c, op, prototype, rs::detail::Schedule::kTwoMessage,
-              kCheckerSegmentBytes, /*commutative=*/true);
+              c, op, rs::detail::Schedule::kTwoMessage, kCheckerSegmentBytes,
+              /*commutative=*/true);
         });
     request.wait();
     return rs::red_result(op);

@@ -43,7 +43,7 @@ std::vector<rs::reduce_result_t<Op>> run_allreduce(int p,
   std::vector<rs::reduce_result_t<Op>> results(static_cast<std::size_t>(p));
   mprt::run(p, [&](Comm& comm) {
     Op op = verify::accumulated<Op>(comm.rank());
-    rs::detail::state_allreduce(comm, op, verify::make_prototype<Op>());
+    rs::detail::state_allreduce(comm, op);
     results[static_cast<std::size_t>(comm.rank())] = rs::red_result(op);
   }, model);
   return results;
@@ -134,8 +134,7 @@ TEST(Hierarchical, SegmentedLeaderTiersMatchOracle) {
         op.accum((comm.rank() * kPerRank + i * 37) %
                  static_cast<int>(kBuckets));
       }
-      rs::detail::state_allreduce_hierarchical(
-          comm, op, rs::ops::Counts(kBuckets), /*commutative=*/true);
+      rs::detail::state_allreduce_hierarchical(comm, op, /*commutative=*/true);
       results[static_cast<std::size_t>(comm.rank())] = rs::red_result(op);
     }, model);
 
@@ -192,8 +191,7 @@ TEST(Hierarchical, TrafficAndFinishArePinned) {
     const mprt::RunResult r = mprt::run(c.p, [&](Comm& comm) {
       if (c.buckets == 0) {
         auto op = verify::accumulated<verify::OrderedWord>(comm.rank());
-        rs::detail::state_allreduce_hierarchical(
-            comm, op, verify::make_prototype<verify::OrderedWord>());
+        rs::detail::state_allreduce_hierarchical(comm, op);
         EXPECT_EQ(op.gen(), verify::expected_result<verify::OrderedWord>(c.p));
         return;
       }
@@ -201,8 +199,7 @@ TEST(Hierarchical, TrafficAndFinishArePinned) {
       for (int i = 0; i < 64; ++i) {
         op.accum((comm.rank() * 64 + i * 37) % static_cast<int>(c.buckets));
       }
-      rs::detail::state_allreduce_hierarchical(comm, op,
-                                               rs::ops::Counts(c.buckets));
+      rs::detail::state_allreduce_hierarchical(comm, op);
     }, model);
     const std::string what = "p=" + std::to_string(c.p) + " buckets=" +
                              std::to_string(c.buckets);
@@ -252,8 +249,7 @@ TEST(Hierarchical, TierByteCountersPartitionTraffic) {
   const ScopedSchedule forced("hierarchical");
   const mprt::RunResult two_tier = mprt::run(8, [](Comm& comm) {
     auto op = verify::accumulated<rs::ops::Counts>(comm.rank());
-    rs::detail::state_allreduce(comm, op,
-                                verify::make_prototype<rs::ops::Counts>());
+    rs::detail::state_allreduce(comm, op);
   }, CostModel::cluster_of_smp(4));
   EXPECT_GT(two_tier.metrics[mprt::Metric::kIntraNodeBytes], 0u);
   EXPECT_GT(two_tier.metrics[mprt::Metric::kInterNodeBytes], 0u);
@@ -263,8 +259,7 @@ TEST(Hierarchical, TierByteCountersPartitionTraffic) {
 
   const mprt::RunResult flat = mprt::run(8, [](Comm& comm) {
     auto op = verify::accumulated<rs::ops::Counts>(comm.rank());
-    rs::detail::state_allreduce(comm, op,
-                                verify::make_prototype<rs::ops::Counts>());
+    rs::detail::state_allreduce(comm, op);
   }, CostModel{});
   EXPECT_EQ(flat.metrics[mprt::Metric::kIntraNodeBytes], 0u);
   EXPECT_EQ(flat.metrics[mprt::Metric::kInterNodeBytes], 0u);

@@ -41,8 +41,7 @@ TEST(Virtualized, P4096CountsAllreduceOnEightWorkers) {
       kRanks,
       [&](Comm& comm) {
         auto op = verify::accumulated<rs::ops::Counts>(comm.rank());
-        rs::detail::state_allreduce(comm, op,
-                                    verify::make_prototype<rs::ops::Counts>());
+        rs::detail::state_allreduce(comm, op);
         results[static_cast<std::size_t>(comm.rank())] = rs::red_result(op);
       },
       mprt::CostModel{}, mprt::SimConfig{}, exec);
@@ -71,8 +70,7 @@ TEST(Virtualized, CustomStackSize) {
       16,
       [&](Comm& comm) {
         auto op = verify::accumulated<rs::ops::Counts>(comm.rank());
-        rs::detail::state_allreduce(comm, op,
-                                    verify::make_prototype<rs::ops::Counts>());
+        rs::detail::state_allreduce(comm, op);
         results[static_cast<std::size_t>(comm.rank())] = rs::red_result(op);
       },
       mprt::CostModel{}, mprt::SimConfig{}, exec);

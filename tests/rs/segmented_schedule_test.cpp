@@ -215,12 +215,12 @@ void segmented_schedules_agree(const Op& prototype, Fill fill, Eq eq) {
             Op mine = prototype;
             fill(mine, comm.rank());
             Op legacy = mine;
-            rs::detail::state_allreduce_reduce_bcast(comm, legacy, prototype,
+            rs::detail::state_allreduce_reduce_bcast(comm, legacy,
                                                      /*commutative=*/true);
             Op ring = mine;
             rs::detail::state_allreduce_ring(comm, ring);
             Op rab = mine;
-            rs::detail::state_allreduce_rabenseifner(comm, rab, prototype);
+            rs::detail::state_allreduce_rabenseifner(comm, rab);
             Op pipe = mine;
             // A deliberately tiny segment so even small states pipeline.
             rs::detail::state_allreduce_pipelined(comm, pipe,
@@ -311,10 +311,9 @@ TEST(SegmentedSchedules, PipelinedReduceMatchesBinomialBitExact) {
     for (const std::size_t seg :
          {std::size_t{64}, std::size_t{200}, std::size_t{1} << 20}) {
       mprt::run(p, [&](Comm& comm) {
-        const ops::Counts prototype(97);
         ops::Counts mine = filled_counts(97, comm.rank());
         ops::Counts binomial = mine;
-        rs::detail::state_reduce_binomial(comm, binomial, prototype);
+        rs::detail::state_reduce_binomial(comm, binomial);
         ops::Counts pipelined = mine;
         rs::detail::state_reduce_pipelined(comm, pipelined, seg);
         if (comm.rank() == 0) {
@@ -425,11 +424,10 @@ TEST(Autotuner, EnvOverrideForcesScheduleThroughDispatch) {
   EnvGuard g("RSMPI_SCHEDULE", "ring");
   for (const int p : {4, 6}) {
     mprt::run(p, [&](Comm& comm) {
-      const ops::Counts prototype(97);
       ops::Counts forced = filled_counts(97, comm.rank());
       ops::Counts legacy = forced;
-      rs::detail::state_allreduce(comm, forced, prototype);
-      rs::detail::state_allreduce_reduce_bcast(comm, legacy, prototype,
+      rs::detail::state_allreduce(comm, forced);
+      rs::detail::state_allreduce_reduce_bcast(comm, legacy,
                                                /*commutative=*/true);
       EXPECT_EQ(save_op(forced), save_op(legacy)) << "p=" << p;
     });
@@ -459,11 +457,10 @@ TEST(Autotuner, AutotunedDispatchMatchesLegacyOnLargeStates) {
   constexpr std::size_t kBuckets = 1 << 15;  // 256 KiB of state
   for (const int p : {8, 12}) {
     mprt::run(p, [&](Comm& comm) {
-      const ops::Counts prototype(kBuckets);
       ops::Counts tuned = filled_counts(kBuckets, comm.rank(), 200);
       ops::Counts legacy = tuned;
-      rs::detail::state_allreduce(comm, tuned, prototype);
-      rs::detail::state_allreduce_reduce_bcast(comm, legacy, prototype,
+      rs::detail::state_allreduce(comm, tuned);
+      rs::detail::state_allreduce_reduce_bcast(comm, legacy,
                                                /*commutative=*/true);
       EXPECT_EQ(save_op(tuned), save_op(legacy)) << "p=" << p;
     });
@@ -617,10 +614,10 @@ TEST(SegmentReuse, PipelinedRunRecyclesSegmentBuffers) {
   EnvGuard sched("RSMPI_SCHEDULE", "pipelined");
   EnvGuard seg("RSMPI_SEGMENT_BYTES", "1024");
   const auto result = mprt::run(8, [&](Comm& comm) {
-    const ops::Counts prototype(2048);  // 16 KiB state → 16 segments
     for (int iter = 0; iter < 3; ++iter) {
+      // 16 KiB state → 16 segments
       ops::Counts c = filled_counts(2048, comm.rank(), 80);
-      rs::detail::state_allreduce(comm, c, prototype);
+      rs::detail::state_allreduce(comm, c);
     }
   });
   // Size-class bins serve repeat segment-sized acquires from the matching

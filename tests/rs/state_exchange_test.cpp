@@ -2,7 +2,8 @@
 // pooled zero-copy path's allocation behaviour (ISSUE 3's acceptance
 // property), and equivalence of the new schedules — recursive-doubling
 // butterfly allreduce and the deferred-prefix xscan — with the legacy
-// ones, for every operator in rs/ops/ops.hpp.
+// ones, for every operator in rs/ops/ops.hpp.  The last tests pin the
+// whole-state copies the global-view reductions make.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,9 +14,14 @@
 #include <utility>
 #include <vector>
 
+#include "coll/barrier.hpp"
+#include "mprt/cost_model.hpp"
 #include "mprt/runtime.hpp"
+#include "rs/async.hpp"
 #include "rs/op_concepts.hpp"
 #include "rs/ops/ops.hpp"
+#include "rs/reduce.hpp"
+#include "rs/serial.hpp"
 #include "rs/state_exchange.hpp"
 #include "tests/rs/xscan_baseline.hpp"
 
@@ -50,10 +56,9 @@ void allreduce_both(const Op& prototype, Fill fill, Check check) {
       Op mine = prototype;
       fill(mine, comm.rank());
       Op butterfly = mine;
-      state_allreduce_butterfly(comm, butterfly, prototype);
+      state_allreduce_butterfly(comm, butterfly);
       Op legacy = mine;
-      state_allreduce_reduce_bcast(comm, legacy, prototype,
-                                   /*commutative=*/false);
+      state_allreduce_reduce_bcast(comm, legacy, /*commutative=*/false);
       check(butterfly, legacy);
     });
   }
@@ -103,11 +108,13 @@ TEST(ButterflyEquivalence, ScalarFoldOps) {
       },
       gen_eq<ops::Sum<long>>);
   allreduce_both(
-      ops::Product<long>{},
-      [](ops::Product<long>& op, int r) {
+      // Unsigned, so a product past 2^64 at the wider rank counts wraps
+      // instead of overflowing a signed long.
+      ops::Product<unsigned long>{},
+      [](ops::Product<unsigned long>& op, int r) {
         for (int i = 0; i < 8; ++i) op.accum(1 + (r + i) % 3);
       },
-      gen_eq<ops::Product<long>>);
+      gen_eq<ops::Product<unsigned long>>);
   allreduce_both(
       ops::Min<int>{},
       [](ops::Min<int>& op, int r) {
@@ -325,7 +332,7 @@ TEST(AllreduceDispatch, RoutesNonCommutativeOpsToLegacySchedule) {
           want.push_back(static_cast<char>('a' + (r + i) % 26));
         }
       }
-      state_allreduce(comm, mine, ops::Concat{});
+      state_allreduce(comm, mine);
       EXPECT_EQ(mine.gen(), want);
     });
   }
@@ -458,16 +465,18 @@ TEST(ZeroCopyPath, WarmAllreduceMakesNoAllocationsOrCopies) {
 
     // Warm-up pass: pools start empty, so this one may allocate.
     auto warm = mine;
-    state_allreduce(comm, warm, prototype);
+    state_allreduce(comm, warm);
     EXPECT_GT(comm.payload_allocs(), 0u);  // cold pool had to allocate
     // ... but never copied a payload.
     EXPECT_EQ(comm.metrics()[Metric::kPayloadCopies], 0u);
     comm.reset_counters();
 
-    // Steady state: every buffer comes from this rank's pool.
+    // Steady state: every buffer comes from this rank's pool, already
+    // large enough for the state it carries.
     auto hot = mine;
-    state_allreduce(comm, hot, prototype);
+    state_allreduce(comm, hot);
     EXPECT_EQ(comm.payload_allocs(), 0u);
+    EXPECT_EQ(comm.metrics()[Metric::kPoolRegrows], 0u);
     EXPECT_EQ(comm.metrics()[Metric::kPayloadCopies], 0u);
     EXPECT_EQ(comm.pool_stats().misses, 0u);
     EXPECT_GT(comm.pool_stats().hits, 0u);
@@ -501,6 +510,7 @@ TEST(ZeroCopyPath, WarmXscanHalvesAllocationsAndNeverCopies) {
     auto hot = mine;
     state_xscan(comm, hot, prototype);
     EXPECT_EQ(comm.metrics()[Metric::kPayloadCopies], 0u);
+    EXPECT_EQ(comm.metrics()[Metric::kPoolRegrows], 0u);
     allocs[static_cast<std::size_t>(comm.rank())] = comm.payload_allocs();
     sends[static_cast<std::size_t>(comm.rank())] =
         comm.metrics()[Metric::kSendsMoved] +
@@ -559,6 +569,164 @@ TEST(ZeroCopyPath, SpanSendsCopyButMoveSendsAdopt) {
       comm.recycle_buffer(std::move(reused));
     }
   });
+}
+
+// Typed point-to-point sends go through the span overload: a value of at
+// most 64 bytes is copied into the Message, so a barrier's token exchange
+// neither allocates nor hands the pool a buffer it must drop.
+TEST(ZeroCopyPath, TypedSendsAllocateNothing) {
+  const auto result = mprt::run(4, [](Comm& comm) {
+    for (int i = 0; i < 20; ++i) coll::barrier(comm);
+  });
+  EXPECT_GT(result.metrics[Metric::kSendsInline], 0u);
+  EXPECT_EQ(result.metrics[Metric::kPayloadAllocs], 0u);
+  EXPECT_EQ(result.metrics[Metric::kPoolDropped], 0u);
+}
+
+// Once the pools are warm, a pass of barriers and allreduces of states
+// that declare their size (the array states) allocates nothing and grows
+// no pooled buffer, on the two-tier model whose autotuner runs the
+// hierarchical and segmented schedules.
+TEST(ZeroCopyPath, WarmArrayStatesNeitherAllocateNorRegrow) {
+  constexpr int kRanks = 8;
+  const auto histogram = big_histogram();
+  mprt::run(kRanks, [&](Comm& comm) {
+    std::vector<int> buckets(512);
+    std::vector<double> values(512);
+    std::vector<std::uint64_t> keys(512);
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      const auto x = static_cast<int>(i) * 31 + comm.rank() * 7;
+      buckets[i] = x % 8192;
+      values[i] = static_cast<double>(x % 2048);
+      keys[i] = static_cast<std::uint64_t>(x) * 2654435761u;
+    }
+    const auto pass = [&] {
+      coll::barrier(comm);
+      (void)rs::reduce(comm, buckets, ops::Counts(8192));
+      coll::barrier(comm);
+      (void)rs::reduce(comm, values, histogram);
+      coll::barrier(comm);
+      (void)rs::reduce(comm, keys, ops::HyperLogLog<std::uint64_t>(12));
+    };
+    pass();
+    pass();
+    comm.reset_counters();
+    pass();
+    EXPECT_EQ(comm.payload_allocs(), 0u) << "rank " << comm.rank();
+    EXPECT_EQ(comm.metrics()[Metric::kPoolRegrows], 0u)
+        << "rank " << comm.rank();
+  }, mprt::CostModel::cluster_of_smp(4));
+}
+
+/// A Counts-like array state that counts its whole-state copies: copy
+/// constructions and copy assignments, into the slot its prototype
+/// carries, so each rank counts its own.  Its lvalue generate copies the
+/// state and moves the result out of the copy, as an array generate does.
+class CopyCounted : public ops::ArrayState<CopyCounted, long,
+                                           ops::FoldAdd,
+                                           /*partitionable=*/true> {
+ public:
+  static constexpr bool commutative = true;
+
+  CopyCounted(std::size_t n, long* copies) : v_(n, 0), copies_(copies) {}
+  CopyCounted(const CopyCounted& o)
+      : ArrayState(o), v_(o.v_), copies_(o.copies_) {
+    ++*copies_;
+  }
+  CopyCounted& operator=(const CopyCounted& o) {
+    v_ = o.v_;
+    copies_ = o.copies_;
+    ++*copies_;
+    return *this;
+  }
+  // Moves stay moves, uncounted: declaring the copies alone would turn
+  // every move into a copy.
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+
+  void accum(const int& x) { v_[static_cast<std::size_t>(x) % v_.size()] += 1; }
+  void combine(const CopyCounted& o) {
+    for (std::size_t i = 0; i < v_.size(); ++i) v_[i] += o.v_[i];
+  }
+  [[nodiscard]] std::vector<long> red_gen() const& {
+    return CopyCounted(*this).red_gen();
+  }
+  [[nodiscard]] std::vector<long> red_gen() && { return std::move(v_); }
+
+ private:
+  friend ArrayState;
+  static auto& elems(auto& self) { return self.v_; }
+
+  std::vector<long> v_;
+  long* copies_;
+};
+
+/// rs::reduce and rs::reduce_root copy no state; rs::reduce_async copies
+/// it once, to generate from the state its Future shares.  Flat model at
+/// p in {1, 5, 8}, and the two-tier model at p = 8.  The 8 KiB state runs
+/// the butterfly on the flat model and the hierarchical schedule on the
+/// two-tier one; the 128 KiB state runs ring and Rabenseifner.
+TEST(CopyFreeReduce, ReductionsCopyNoWholeState) {
+  constexpr int kPerRank = 300;
+  const auto input = [](int rank) {
+    std::vector<int> v(kPerRank);
+    for (int i = 0; i < kPerRank; ++i) {
+      v[static_cast<std::size_t>(i)] = rank * 977 + i * 13;
+    }
+    return v;
+  };
+  struct Case {
+    int p;
+    mprt::CostModel model;
+  };
+  const mprt::CostModel two_tier = mprt::CostModel::cluster_of_smp(4);
+  ASSERT_EQ(rs::detail::choose_allreduce_schedule(
+                two_tier, 8, 1024 * sizeof(long),
+                rs::detail::kDefaultSegmentBytes),
+            rs::detail::Schedule::kHierarchical);
+  for (const std::size_t extent : {std::size_t{1024}, std::size_t{16384}}) {
+    for (const Case& c :
+         {Case{1, {}}, Case{5, {}}, Case{8, {}}, Case{8, two_tier}}) {
+      std::vector<int> global;
+      for (int r = 0; r < c.p; ++r) {
+        const auto mine = input(r);
+        global.insert(global.end(), mine.begin(), mine.end());
+      }
+      long oracle_copies = 0;
+      const std::vector<long> want =
+          rs::serial::reduce(global, CopyCounted(extent, &oracle_copies));
+      std::vector<long> reduce_copies(static_cast<std::size_t>(c.p));
+      std::vector<long> root_copies(static_cast<std::size_t>(c.p));
+      std::vector<long> async_copies(static_cast<std::size_t>(c.p));
+      const int root = c.p - 1;
+      mprt::run(c.p, [&](Comm& comm) {
+        const auto r = static_cast<std::size_t>(comm.rank());
+        const auto mine = input(comm.rank());
+        EXPECT_EQ(
+            rs::reduce(comm, mine, CopyCounted(extent, &reduce_copies[r])),
+            want);
+        const auto at_root = rs::reduce_root(
+            comm, root, mine, CopyCounted(extent, &root_copies[r]));
+        EXPECT_EQ(at_root.has_value(), comm.rank() == root);
+        if (at_root.has_value()) {
+          EXPECT_EQ(*at_root, want);
+        }
+        auto future =
+            rs::reduce_async(comm, mine, CopyCounted(extent, &async_copies[r]));
+        EXPECT_EQ(future.get(), want);
+      }, c.model);
+      for (int r = 0; r < c.p; ++r) {
+        const auto i = static_cast<std::size_t>(r);
+        const std::string at = "extent=" + std::to_string(extent) +
+                               " p=" + std::to_string(c.p) +
+                               (c.model.two_tier() ? " two-tier" : " flat") +
+                               " rank " + std::to_string(r);
+        EXPECT_EQ(reduce_copies[i], 0) << at;
+        EXPECT_EQ(root_copies[i], 0) << at;
+        EXPECT_LE(async_copies[i], 1) << at;
+      }
+    }
+  }
 }
 
 }  // namespace

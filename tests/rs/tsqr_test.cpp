@@ -1,7 +1,7 @@
 // Flagship verification for rs::ops::TSQR (ISSUE 9 tentpole):
 //
 //   * unit contract — argument validation, identity combines, equality,
-//     serialization (save/load, zero-copy save_into/load_from,
+//     serialization (save/load, in-place load into a live state,
 //     combine_from_bytes), and the column-panel hooks including the
 //     streamed-session demux and its out-of-order rejection;
 //   * bitwise schedule sweep — every blocking schedule name, the auto
@@ -156,15 +156,15 @@ TEST(Tsqr, SerializationRoundTripsBitwise) {
   }
   EXPECT_EQ(save_op(via_load), bytes_saved);
 
-  // Zero-copy pair: save_into writes the same bytes, load_from reads them.
-  bytes::Writer w;
-  src.save_into(w);
-  ops::TSQR via_span(6);
+  // The load is in place and overwrites a live state completely, and the
+  // declared wire size is the saved size.
+  ops::TSQR via_live = local_state(4, 30, 6);
   {
-    bytes::Reader r(w.view());
-    via_span.load_from(r);
+    bytes::Reader r(bytes_saved);
+    via_live.load(r);
   }
-  EXPECT_EQ(save_op(via_span), bytes_saved);
+  EXPECT_EQ(save_op(via_live), bytes_saved);
+  EXPECT_EQ(src.wire_bytes(), bytes_saved.size());
 
   ops::TSQR wrong(5);
   bytes::Reader r(bytes_saved);
@@ -295,15 +295,14 @@ TEST(TsqrSchedules, EveryScheduleBitIdenticalAcrossMachineSizes) {
                            (faulted ? " faulted" : ""),
                        [sched](Comm& comm, ops::TSQR& op) {
                          rs::detail::state_allreduce_with_schedule(
-                             comm, op, ops::TSQR(op.cols()), sched,
-                             /*segment_bytes=*/24, /*commutative=*/false);
+                             comm, op, sched, /*segment_bytes=*/24,
+                             /*commutative=*/false);
                        });
       }
       // The auto dispatch (env-driven planning path).
       expect_bitwise(p, 9, kCols, sim, faulted ? "auto faulted" : "auto",
                      [](Comm& comm, ops::TSQR& op) {
-                       rs::detail::state_allreduce(comm, op,
-                                                   ops::TSQR(op.cols()));
+                       rs::detail::state_allreduce(comm, op);
                      });
     }
   }

@@ -363,15 +363,14 @@ std::string check_case_tsqr(const Case& c) {
         c.p,
         [&](Comm& comm) {
           const auto r = static_cast<std::size_t>(comm.rank());
-          const ops::TSQR prototype(kCols);
           ops::TSQR op = states[r];
           switch (c.schedule) {
             case kReduceAuto:
-              rs::detail::state_allreduce(comm, op, prototype);
+              rs::detail::state_allreduce(comm, op);
               break;
             case kReduceBcast: {
               rs::detail::state_allreduce_with_schedule(
-                  comm, op, prototype, rs::detail::Schedule::kTwoMessage,
+                  comm, op, rs::detail::Schedule::kTwoMessage,
                   rs::detail::kDefaultSegmentBytes, /*commutative=*/false);
               ops::TSQR pipelined = states[r];
               rs::detail::state_allreduce_pipelined(comm, pipelined,
@@ -382,12 +381,11 @@ std::string check_case_tsqr(const Case& c) {
               break;
             }
             case kReduceAsync: {
-              auto state = std::make_shared<rs::detail::AsyncOpState<ops::TSQR>>(
-                  states[r], prototype);
+              auto state = std::make_shared<ops::TSQR>(states[r]);
               rs::detail::launch_state_allreduce(comm, state,
                                                  /*commutative=*/false)
                   .wait();
-              op = state->op;
+              op = *state;
               break;
             }
             default:
@@ -739,7 +737,7 @@ std::vector<rs::reduce_result_t<Op>> registry_allreduce(
       p,
       [&](Comm& comm) {
         Op op = verify::accumulated<Op>(comm.rank());
-        rs::detail::state_allreduce(comm, op, verify::make_prototype<Op>());
+        rs::detail::state_allreduce(comm, op);
         results[static_cast<std::size_t>(comm.rank())] = rs::red_result(op);
       },
       mprt::CostModel{}, SimConfig{}, exec);

@@ -84,11 +84,11 @@ void planned_matches_fresh(const Op& prototype, Fill fill,
               fill(mine, comm.rank());
 
               Op fresh = mine;
-              rs::detail::state_allreduce(comm, fresh, prototype);
+              rs::detail::state_allreduce(comm, fresh);
 
               auto plan = coll::plan_state_allreduce(comm, prototype);
               Op planned = mine;
-              coll::execute_planned_allreduce(comm, planned, prototype, plan);
+              coll::execute_planned_allreduce(comm, planned, plan);
 
               EXPECT_EQ(save_op(fresh), save_op(planned))
                   << "schedule=" << schedule << " p=" << p
@@ -141,11 +141,11 @@ TEST(PersistentPlan, MeanVarTwoMessageAgreesUpToReassociation) {
     for (int i = 0; i < 40; ++i) mine.accum(0.1 * comm.rank() + 0.01 * i);
 
     ops::MeanVar fresh = mine;
-    rs::detail::state_allreduce(comm, fresh, ops::MeanVar{});
+    rs::detail::state_allreduce(comm, fresh);
 
     auto plan = coll::plan_state_allreduce(comm, ops::MeanVar{});
     ops::MeanVar planned = mine;
-    coll::execute_planned_allreduce(comm, planned, ops::MeanVar{}, plan);
+    coll::execute_planned_allreduce(comm, planned, plan);
 
     const auto a = fresh.gen();
     const auto b = planned.gen();

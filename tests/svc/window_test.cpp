@@ -72,7 +72,7 @@ void stream_matches_oracle(const Op& prototype, svc::WindowConfig cfg,
 
         // The oracle sees the same merged global state the stream merges.
         Op merged = mine;
-        rs::detail::state_allreduce(comm, merged, prototype);
+        rs::detail::state_allreduce(comm, merged);
         const auto want = oracle.push(std::move(merged));
 
         const auto got = stream.push_state(std::move(mine));
