@@ -1,17 +1,16 @@
 // TSQR micro bench: tall-skinny QR reduction through the state-exchange
-// layer, swept over machine size p x panel width (cols).
+// layer, swept over machine size p x column count (cols).
 //
 // Each point runs the production path (pool accumulate + auto state
 // exchange) for timing, then replays the same inputs through every
-// blocking schedule name, the pipelined tree at several segment sizes,
-// and the auto dispatch, comparing all of them bitwise against the
-// binomial-fold oracle.  Reported per point:
+// blocking schedule name and the auto dispatch, comparing all of them
+// bitwise against the binomial-fold oracle.  Reported per point:
 //
 //   * modelled_rows_per_s — global rows absorbed over the slowest rank's
 //     virtual-clock charge.  Machine-dependent, informational, never
 //     gated.
-//   * schedules_identical — every (schedule, segment size, rank) final
-//     state byte-identical to verify::binomial_fold of the per-rank
+//   * schedules_identical — every (schedule, rank) final state
+//     byte-identical to verify::binomial_fold of the per-rank
 //     states.  Gated by --check: any divergence fails immediately.
 //   * orth_err / rel_residual — ||Q^T Q - I||_max and ||A - QR|| / ||A||
 //     for Q manufactured from the reduced R over the full stacked input.
@@ -132,11 +131,9 @@ PointResult measure(int p, std::size_t rows_per_rank, std::size_t cols,
       std::chrono::duration<double, std::milli>(wall1 - wall0).count() / reps;
 
   // Bitwise sweep: every schedule name (the dispatch must route each to
-  // the order-preserving path), plus the pipelined panel stream at
-  // single-column, odd, and whole-state segment sizes.
+  // the order-preserving path).
   const Schedule schedules[] = {Schedule::kTwoMessage, Schedule::kButterfly,
-                                Schedule::kRabenseifner, Schedule::kRing,
-                                Schedule::kPipelined};
+                                Schedule::kRabenseifner, Schedule::kRing};
   for (const Schedule sched : schedules) {
     mprt::run(p, [&](mprt::Comm& comm) {
       ops::TSQR op(cols);
@@ -144,19 +141,7 @@ PointResult measure(int p, std::size_t rows_per_rank, std::size_t cols,
         op.accum(row);
       }
       rs::detail::state_allreduce_with_schedule(comm, op, sched,
-                                                /*segment_bytes=*/24,
                                                 /*commutative=*/false);
-      if (save_op(op) != expected) pt.schedules_identical = false;
-    });
-  }
-  for (const std::size_t segment_bytes :
-       {std::size_t{8}, std::size_t{56}, std::size_t{4096}}) {
-    mprt::run(p, [&](mprt::Comm& comm) {
-      ops::TSQR op(cols);
-      for (const auto& row : local[static_cast<std::size_t>(comm.rank())]) {
-        op.accum(row);
-      }
-      rs::detail::state_allreduce_pipelined(comm, op, segment_bytes);
       if (save_op(op) != expected) pt.schedules_identical = false;
     });
   }

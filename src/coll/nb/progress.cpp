@@ -1,19 +1,10 @@
 #include "coll/nb/progress.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace rsmpi::coll::nb {
-
-namespace {
-
-/// Repositions a rank clock to an arbitrary virtual time (the clock's own
-/// API only moves forward; reset-then-advance lands exactly on `t`).
-void set_clock(mprt::VirtualClock& clock, double t) {
-  clock.reset();
-  clock.advance(t);
-}
-
-}  // namespace
 
 Operation::Operation(std::uint64_t id, mprt::Comm comm,
                      std::function<void(mprt::Comm&)> body,
@@ -22,7 +13,7 @@ Operation::Operation(std::uint64_t id, mprt::Comm comm,
     : id_(id),
       comm_(std::move(comm)),
       body_(std::move(body)),
-      vtime_(comm_.clock().now()) {
+      timeline_(comm_.clock()) {
   auto run = [this] {
     try {
       body_(comm_);
@@ -43,19 +34,18 @@ Operation::~Operation() {
 }
 
 bool Operation::step(mprt::FiberSlot& slot) {
-  // Run on the operation's timeline, so arrival-time merges, compute
-  // charges and outgoing send stamps land there; the body catches its own
-  // exceptions, so the rank clock is always restored.
+  // Run on the operation's timeline — its time and its ports — so
+  // arrival-time merges, compute charges, port bookings and outgoing send
+  // stamps land there; the body catches its own exceptions, so the rank
+  // clock is always restored.
   mprt::VirtualClock& clock = comm_.clock();
-  const double rank_time = clock.now();
   const std::uint64_t traffic =
       comm_.messages_sent() + comm_.messages_received();
-  set_clock(clock, vtime_);
+  std::swap(clock, timeline_);
   slot.op_fiber = fiber_.get();
   fiber_->resume();
   slot.op_fiber = nullptr;
-  vtime_ = clock.now();
-  set_clock(clock, rank_time);
+  std::swap(clock, timeline_);
   return fiber_->finished() ||
          comm_.messages_sent() + comm_.messages_received() != traffic;
 }
@@ -109,7 +99,7 @@ Request ProgressEngine::launch(mprt::Comm& comm,
 void ProgressEngine::retire_done() {
   std::erase_if(ops_, [this](std::unique_ptr<Operation>& op) {
     if (!op->done()) return false;
-    finished_.push_back({op->id(), op->vtime(), op->error()});
+    finished_.push_back({op->id(), op->timeline(), op->error()});
     spare_.push_back(op->release_fiber());
     return true;
   });
@@ -137,7 +127,7 @@ bool ProgressEngine::is_complete(std::uint64_t id) const {
 void ProgressEngine::observe(std::uint64_t id) {
   for (auto it = finished_.begin(); it != finished_.end(); ++it) {
     if (it->id == id) {
-      slot_.comm->clock().merge(it->vtime);
+      slot_.comm->clock().join(it->timeline);
       // A failure stays with its request, so every observation rethrows.
       if (it->error) std::rethrow_exception(it->error);
       finished_.erase(it);

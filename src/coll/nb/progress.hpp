@@ -19,18 +19,21 @@
 //
 // Virtual-clock accounting: every in-flight operation carries its own
 // progress timeline, seeded with the rank clock at launch, and every pass
-// (launch, poll, test, wait) runs the operation on it.  The rank clock is
-// swapped to the operation's last progress point while its coroutine runs,
-// so each queued message is processed at max(op time, arrival) — where a
-// rank polling without pause would have processed it — and send and
-// combine charges land on the operation's time; then the rank clock is
-// restored.  The operation's finish time joins the rank clock only when
-// the rank observes the completion: Request::wait, a test or test_any that
-// reports it done, or Future::get.  With receives from named sources, the
-// modelled critical path is therefore a function of the message schedule
-// alone — not of which messages happened to be queued at a poll, nor of
-// how the host scheduled the ranks.  (A wildcard receive still folds
-// whichever match is queued first, as its blocking counterpart does.)
+// (launch, poll, test, wait) runs the operation on it.  The rank clock —
+// its time and its ports — is swapped for the operation's while its
+// coroutine runs, so each queued message is processed at max(op time,
+// arrival) — where a rank polling without pause would have processed it —
+// and send, receive and combine charges land on the operation's timeline;
+// then the rank clock is restored.  The operation's timeline joins the
+// rank clock only when the rank observes the completion: Request::wait, a
+// test or test_any that reports it done, or Future::get.  The operation
+// books ports of its own, so whether the host posts its sends before or
+// after the rank's own moves no clock either.  With receives from named
+// sources, the modelled critical path is therefore a function of the
+// message schedule alone — not of which messages happened to be queued
+// at a poll, nor of how the host scheduled the ranks.  (A wildcard
+// receive still folds whichever match is queued first, as its blocking
+// counterpart does.)
 //
 // Errors: an exception that escapes the body finishes the operation, which
 // is retired with it like a completed one, so the rank's other operations
@@ -94,8 +97,11 @@ class Operation {
   std::unique_ptr<mprt::Fiber> release_fiber() { return std::move(fiber_); }
 
   [[nodiscard]] std::uint64_t id() const { return id_; }
-  /// Finish (or last progress) time on the operation's timeline.
-  [[nodiscard]] double vtime() const { return vtime_; }
+  /// The operation's timeline: its finish (or last progress) time and
+  /// the ports its sends and receives booked.
+  [[nodiscard]] const mprt::VirtualClock& timeline() const {
+    return timeline_;
+  }
 
  private:
   std::uint64_t id_;
@@ -103,7 +109,7 @@ class Operation {
   std::function<void(mprt::Comm&)> body_;
   std::unique_ptr<mprt::Fiber> fiber_;
   std::exception_ptr error_;
-  double vtime_;
+  mprt::VirtualClock timeline_;
 };
 
 /// Registry of a rank's pending operations.  One per rank.
@@ -140,7 +146,7 @@ class ProgressEngine {
   /// or one that failed (kept, so every observation rethrows).
   struct Finished {
     std::uint64_t id = 0;
-    double vtime = 0.0;  ///< finish time on the operation's timeline
+    mprt::VirtualClock timeline;  ///< the operation's, at its finish
     std::exception_ptr error;  ///< what the body threw, or null
   };
 
@@ -148,7 +154,7 @@ class ProgressEngine {
   void retire_done();
 
   [[nodiscard]] bool is_complete(std::uint64_t id) const;
-  /// Joins a completed operation's finish time into the rank clock (the
+  /// Joins a completed operation's timeline into the rank clock (the
   /// first observation does; later ones find nothing left to join), or
   /// rethrows its error, on every observation.
   void observe(std::uint64_t id);

@@ -7,10 +7,10 @@
 // planning decision the one-shot path makes per call is invariant across
 // those calls, so it is hoisted here into a PersistentPlan made once:
 //
-//   * the autotuner argmin over {two-message, butterfly, Rabenseifner,
-//     ring, pipelined} (invariant because part_bytes depends only on the
-//     range and the prototype configuration, never on accumulated values);
-//   * the segment size (RSMPI_SEGMENT_BYTES, read once);
+//   * the schedule: RSMPI_SCHEDULE, or the autotuner argmin over
+//     {two-message, butterfly, Rabenseifner, ring} (invariant because
+//     part_bytes depends only on the range and the prototype
+//     configuration, never on accumulated values);
 //   * a reserved collective-tag block, re-leased each epoch so the tag
 //     window is never exhausted no matter how many epochs run
 //     (Comm::TagBlock; see the tag-recycling regression tests);
@@ -35,8 +35,8 @@
 namespace rsmpi::coll {
 
 /// Tags reserved per persistent allreduce plan: the widest epoch consumes
-/// two (two-message and pipelined allreduce each run a reduce plus a
-/// broadcast); the rest is headroom for schedule growth.
+/// two (the two-message allreduce runs a reduce plus a broadcast); the
+/// rest is headroom for schedule growth.
 inline constexpr int kPersistentAllreduceTags = 4;
 /// Tags per persistent scan plan (state_xscan consumes one per epoch).
 inline constexpr int kPersistentScanTags = 2;
@@ -54,7 +54,6 @@ struct PersistentPlan {
   /// (from the partitionable hooks when available, else the serialized
   /// prototype — a lower bound for operators whose state grows).
   std::size_t state_bytes = 0;
-  std::size_t segment_bytes = rs::detail::kDefaultSegmentBytes;
   mprt::Comm::TagBlock tags;
   /// Completed planned executions (epochs) through this plan.
   std::uint64_t epochs = 0;
@@ -79,38 +78,28 @@ inline void prime_buffer_pool(mprt::Comm& comm, std::size_t bytes,
 }  // namespace detail
 
 /// Plans a persistent allreduce of Op states over `comm`: resolves the
-/// schedule (env override or autotuner argmin — counted as exactly one
-/// autotune invocation), freezes the segment size, reserves the tag block,
-/// and primes the buffer pool.  `commutative_override` mirrors the
-/// one-shot dispatch's ablation knob.
+/// schedule as the one-shot dispatch does (resolve_allreduce_schedule: env
+/// override or autotuner argmin — counted as exactly one autotune
+/// invocation), reserves the tag block, and primes the buffer pool with
+/// whole-state buffers, which also serve the chunked schedules' smaller
+/// acquires.  `commutative_override` mirrors the one-shot dispatch's
+/// ablation knob.
 template <rs::Combinable Op>
 PersistentPlan plan_state_allreduce(
     mprt::Comm& comm, const Op& prototype,
     std::optional<bool> commutative_override = std::nullopt) {
-  using rs::detail::Schedule;
   PersistentPlan plan;
   plan.commutative = commutative_override.value_or(rs::op_commutative<Op>());
-  plan.schedule = rs::detail::schedule_from_env();
+  plan.schedule =
+      rs::detail::resolve_allreduce_schedule(comm, prototype, plan.commutative);
   if constexpr (rs::PartitionableState<Op>) {
     plan.state_bytes = rs::part_state_bytes(prototype);
-    plan.segment_bytes = rs::detail::segment_bytes_from_env();
-    if (plan.commutative && plan.schedule == Schedule::kAuto) {
-      comm.note(mprt::Metric::kAutotuneInvocations);
-      plan.schedule = rs::detail::choose_allreduce_schedule(
-          comm.cost_model(), comm.size(), plan.state_bytes,
-          plan.segment_bytes);
-    }
   } else {
     plan.state_bytes = rs::save_op(prototype).size();
   }
   plan.tags = comm.reserve_tag_block(kPersistentAllreduceTags);
   detail::prime_buffer_pool(comm, plan.state_bytes,
                             kPersistentPrimedBuffers);
-  if (plan.segment_bytes < plan.state_bytes) {
-    // Segmented schedules circulate chunk buffers beside whole states.
-    detail::prime_buffer_pool(comm, plan.segment_bytes,
-                              kPersistentPrimedBuffers);
-  }
   return plan;
 }
 
@@ -144,7 +133,6 @@ void execute_planned_allreduce(mprt::Comm& comm, Op& op,
                                PersistentPlan& plan) {
   mprt::TagBlockLease lease(comm, plan.tags);
   rs::detail::state_allreduce_with_schedule(comm, op, plan.schedule,
-                                            plan.segment_bytes,
                                             plan.commutative);
   plan.epochs += 1;
 }

@@ -130,9 +130,7 @@ void Comm::send_bytes(int dest, int tag, std::span<const std::byte> payload) {
   msg.context = context_;
   msg.source = group_rank_;
   msg.tag = tag;
-  msg.arrival_vtime_s =
-      state_->clock.now() +
-      m.wire_time_between(global_rank_, dest_global, payload.size());
+  msg.arrival_vtime_s = stamp_arrival(dest_global, payload.size());
   if (msg.assign_payload(payload)) {
     state_->metrics.add(Metric::kSendsInline);
   }
@@ -152,10 +150,7 @@ void Comm::send_bytes(int dest, int tag, std::vector<std::byte>&& payload) {
   msg.context = context_;
   msg.source = group_rank_;
   msg.tag = tag;
-  msg.arrival_vtime_s =
-      state_->clock.now() +
-      cost_model().wire_time_between(global_rank_, dest_global,
-                                     payload.size());
+  msg.arrival_vtime_s = stamp_arrival(dest_global, payload.size());
   const std::size_t nbytes = payload.size();
   std::vector<std::byte> leftover = msg.adopt_payload(std::move(payload));
   if (nbytes <= Message::kInlineCapacity) {
@@ -217,19 +212,23 @@ Message Comm::take_message(int source, int tag) {
   return msg;
 }
 
-void Comm::charge_receive(const Message& msg) {
-  state_->clock.merge(msg.arrival_vtime_s);
-  state_->clock.advance(recv_overhead_from(msg.source));
+double Comm::stamp_arrival(int dest_global, std::size_t nbytes) {
+  const CostModel& m = cost_model();
+  const double depart = state_->clock.inject(
+      m.same_node(global_rank_, dest_global),
+      m.port_time_between(global_rank_, dest_global, nbytes));
+  return depart + m.wire_time_between(global_rank_, dest_global, nbytes);
 }
 
-double Comm::recv_overhead_from(int source_group_rank) const {
+void Comm::charge_receive(const Message& msg) {
   // The message stamps its sender's group rank; resolve to a global rank so
   // the tier decision matches the sender's (both key on global ranks).
-  if (source_group_rank < 0 || source_group_rank >= size()) {
-    return cost_model().recv_overhead_s;
-  }
-  return cost_model().recv_overhead_between(
-      global_rank_, group_[static_cast<std::size_t>(source_group_rank)]);
+  const CostModel& m = cost_model();
+  const int source = group_[static_cast<std::size_t>(msg.source)];
+  state_->clock.merge(state_->clock.eject(
+      m.same_node(global_rank_, source), msg.arrival_vtime_s,
+      m.port_time_between(global_rank_, source, msg.payload_size())));
+  state_->clock.advance(m.recv_overhead_between(global_rank_, source));
 }
 
 Metrics Comm::metrics() const { return runtime_.metrics(global_rank_); }

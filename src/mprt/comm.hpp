@@ -536,8 +536,9 @@ class Comm {
   /// the tier.intra_bytes / tier.inter_bytes rows (two-tier models only).
   void charge_send(int dest_global, std::size_t nbytes);
 
-  /// Tier-resolved receive overhead for a message from `source_group_rank`.
-  [[nodiscard]] double recv_overhead_from(int source_group_rank) const;
+  /// Books this rank's injection port for a message of `nbytes` to
+  /// `dest_global` and returns its arrival stamp: departure + L + b·G.
+  double stamp_arrival(int dest_global, std::size_t nbytes);
 
   /// The blocking take behind recv_message: plain blocking wait, or
   /// retry/backoff slices under the rank's RecvDeadline.

@@ -10,8 +10,11 @@
 //     worker thread running it (immune to timesharing, because a thread is
 //     only charged while it is actually running, and a compute section
 //     never spans a switch to another rank), and
-//   * every message carries its sender's virtual send-completion time; the
-//     receiver's clock becomes max(own, sender + L + bytes*G) + o_r.
+//   * every message carries its virtual arrival time, departure + L +
+//     bytes*G, where it departs once the sender's injection port is free
+//     and then holds it for bytes*G; the receiver's ejection port is held
+//     for the same bytes*G, and the receiver's clock becomes
+//     max(own, arrival, port free + bytes*G) + o_r.
 //
 // The maximum clock over all ranks at the end of a phase is the modelled
 // critical-path execution time — the quantity the paper's figures plot.
@@ -68,11 +71,6 @@ struct CostModel {
     return compute_scale * total_cpu_s / effective;
   }
 
-  /// Time from send initiation to availability at the receiver.
-  [[nodiscard]] double wire_time(std::size_t payload_bytes) const {
-    return latency_s + static_cast<double>(payload_bytes) * per_byte_s;
-  }
-
   // -- Two-level topology (ISSUE 10) ----------------------------------------
   // Real clusters are nodes-of-cores: ranks sharing a node talk over shared
   // memory, ranks on different nodes over the fabric.  Setting
@@ -120,15 +118,21 @@ struct CostModel {
     return two_tier() && node_of(a) == node_of(b);
   }
 
-  /// Tier-resolved parameters for a message between two *global* ranks.
-  /// Bit-identical to the flat accessors when the model is single-tier.
+  /// Tier-resolved parameters for a message between two *global* ranks:
+  /// the intra_* ones within a node, the flat ones otherwise.
+  /// wire_time_between is L + b·G, from departure to availability at the
+  /// receiver.
   [[nodiscard]] double wire_time_between(int a, int b,
                                          std::size_t payload_bytes) const {
-    if (same_node(a, b)) {
-      return intra_latency_s +
-             static_cast<double>(payload_bytes) * intra_per_byte_s;
-    }
-    return wire_time(payload_bytes);
+    return (same_node(a, b) ? intra_latency_s : latency_s) +
+           port_time_between(a, b, payload_bytes);
+  }
+  /// The b·G part of wire_time_between: how long the message holds its
+  /// sender's and receiver's ports.
+  [[nodiscard]] double port_time_between(int a, int b,
+                                         std::size_t payload_bytes) const {
+    return static_cast<double>(payload_bytes) *
+           (same_node(a, b) ? intra_per_byte_s : per_byte_s);
   }
   [[nodiscard]] double send_overhead_between(int a, int b) const {
     return same_node(a, b) ? intra_send_overhead_s : send_overhead_s;
@@ -368,50 +372,15 @@ struct ScheduleCost {
     return 2.0 * topology::num_rounds(s) * hop_intra(m, bytes) +
            hierarchical_leader(m, (p + rpn - 1) / rpn, bytes, seg_ok).seconds;
   }
-
-  /// Pipelined binomial reduce to rank 0, fill + drain.  Wire time (L +
-  /// b·G) is charged to the receiver's arrival stamp and does not occupy
-  /// the sender, so segments in flight on different tree levels overlap:
-  /// the first segment pays the full ceil(log2 p)-level climb, after which
-  /// the pipeline drains at the root's service rate of ceil(log2 p)
-  /// receives (one per level) per segment.
-  [[nodiscard]] static double pipelined_tree_reduce(const CostModel& m, int p,
-                                                    std::size_t bytes,
-                                                    std::size_t segment_bytes) {
-    const std::size_t nseg = segment_count(bytes, segment_bytes);
-    const std::size_t seg = (bytes + nseg - 1) / nseg;
-    const double levels = topology::num_rounds(p);
-    const double per_segment =
-        levels * (m.send_overhead_s > m.recv_overhead_s ? m.send_overhead_s
-                                                        : m.recv_overhead_s);
-    return levels * hop(m, seg) +
-           (static_cast<double>(nseg) - 1.0) * per_segment;
-  }
-
-  /// Pipelined reduce followed by pipelined broadcast.
-  [[nodiscard]] static double pipelined_tree_allreduce(
-      const CostModel& m, int p, std::size_t bytes,
-      std::size_t segment_bytes) {
-    return 2.0 * pipelined_tree_reduce(m, p, bytes, segment_bytes);
-  }
-
-  /// Whole-state binomial reduce to rank 0 (the legacy reduce path).
-  [[nodiscard]] static double tree_reduce(const CostModel& m, int p,
-                                          std::size_t bytes) {
-    return topology::num_rounds(p) * hop(m, bytes);
-  }
-
- private:
-  [[nodiscard]] static constexpr std::size_t segment_count(
-      std::size_t bytes, std::size_t segment_bytes) {
-    if (segment_bytes == 0 || bytes <= segment_bytes) return 1;
-    return (bytes + segment_bytes - 1) / segment_bytes;
-  }
 };
 
-/// Monotone virtual clock owned by one rank.  Not thread-safe; each rank
-/// touches only its own clock, and message timestamps transfer time between
-/// ranks without shared mutable state.
+/// Virtual clock owned by one rank, with the rank's ports: one injection
+/// and one ejection port per tier (intra-node, inter-node), each the time
+/// its link in that direction is free again.  A message holds
+/// both ends' ports for its b·G, so a rank sends, and receives, one
+/// message's bytes at a time (the one-ported model).  Not thread-safe;
+/// each rank touches only its own clock, and message timestamps transfer
+/// time between ranks without shared mutable state.
 class VirtualClock {
  public:
   [[nodiscard]] double now() const { return now_s_; }
@@ -426,10 +395,47 @@ class VirtualClock {
     if (other_time_s > now_s_) now_s_ = other_time_s;
   }
 
-  void reset() { now_s_ = 0.0; }
+  /// Joins another timeline of this rank — a nonblocking operation's,
+  /// when the rank observes its completion: the time and each port move
+  /// to the later of the two.
+  void join(const VirtualClock& other) {
+    merge(other.now_s_);
+    for (int tier = 0; tier < 2; ++tier) {
+      if (other.out_free_[tier] > out_free_[tier]) {
+        out_free_[tier] = other.out_free_[tier];
+      }
+      if (other.in_free_[tier] > in_free_[tier]) {
+        in_free_[tier] = other.in_free_[tier];
+      }
+    }
+  }
+
+  /// Books the injection port for a message whose bytes take `busy_s`:
+  /// it departs once the port is free, and holds it for `busy_s`.
+  /// Returns the departure time.
+  double inject(bool intra_node, double busy_s) {
+    double& port = out_free_[intra_node ? 1 : 0];
+    const double depart = port > now_s_ ? port : now_s_;
+    port = depart + busy_s;
+    return depart;
+  }
+
+  /// Books the ejection port for a message stamped to arrive at
+  /// `arrival_s` whose bytes take `busy_s`: its last byte is in no earlier
+  /// than `busy_s` after the port frees.  Returns that completion time.
+  double eject(bool intra_node, double arrival_s, double busy_s) {
+    double& port = in_free_[intra_node ? 1 : 0];
+    const double done = port + busy_s;
+    port = done > arrival_s ? done : arrival_s;
+    return port;
+  }
+
+  void reset() { *this = VirtualClock{}; }
 
  private:
   double now_s_ = 0.0;
+  double out_free_[2] = {0.0, 0.0};
+  double in_free_[2] = {0.0, 0.0};
 };
 
 /// Reads the calling thread's CPU time.  Thread CPU time (as opposed to

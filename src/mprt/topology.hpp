@@ -143,7 +143,7 @@ struct RankMap {
 
 /// Element index where chunk `c` of `chunks` begins in a range of n
 /// elements (monotone, exactly covering [0, n)): the segment boundaries of
-/// the ring, Rabenseifner and pipelined schedules.  The product n * c can
+/// the ring and Rabenseifner schedules.  The product n * c can
 /// exceed 64 bits for large element counts, so it is computed in 128-bit
 /// arithmetic.
 [[nodiscard]] inline std::size_t chunk_start(std::size_t n, int chunks,

@@ -133,9 +133,10 @@ concept HasCombineFromBytes =
 // [0, part_extent()) into consecutive ranges, combining another state
 // range-by-range must equal one whole-state combine(), and save_part over
 // the full range followed by load_part must round-trip the state.  The
-// bandwidth-optimal schedules (coll/schedules.hpp, coll/pipeline.hpp) are
-// only offered to operators modelling these hooks; everything else keeps
-// the whole-state path.
+// bandwidth-optimal schedules (the ring and Rabenseifner in
+// coll/schedules.hpp) fold ranges out of rank order, so they are only
+// offered to commutative operators modelling these hooks; everything else
+// keeps the whole-state path.
 
 template <typename Op>
 concept PartitionableState =
@@ -149,7 +150,7 @@ concept PartitionableState =
     };
 
 /// Whether the runtime may combine disjoint element ranges of Op's state
-/// independently (and thus run reduce-scatter/pipelined schedules on it).
+/// independently (and thus run reduce-scatter schedules on it).
 template <typename Op>
 [[nodiscard]] constexpr bool op_partitionable() {
   return PartitionableState<Op>;

@@ -11,37 +11,21 @@
 // State layout: packed column-major upper triangle.  Column j holds its
 // j+1 entries (rows 0..j) contiguously at offset j(j+1)/2, k(k+1)/2
 // doubles total.  The identity state is all zeros, and there is no row
-// counter, so the state is exactly its payload and save_part/load_part
-// round-trip bitwise.
+// counter, so the state is exactly its payload and save/load round-trip
+// bitwise.
 //
-// Column panels (the partitionable-state hooks) are the interesting part:
-// a Givens merge is *not* element-wise, so combining a peer's R column
-// range in isolation is meaningless.  Instead, combine_part runs a
-// *streamed* merge: per in-flight peer a MergeSession tracks the next
-// expected column and the log of rotations generated so far (one list per
-// peer row).  When columns [lo, hi) arrive, each new column first replays
-// the already-generated rotations of every participating peer row (in
-// generation order), then generates and logs this column's own rotations.
-// Processing the merge column-major this way performs the exact same
-// scalar operations, on the exact same operand values, in the same
-// per-location order as the row-major whole-state merge — so a segmented
-// schedule that feeds panels in order is *bitwise identical* to one
-// whole-state combine.  Columns below `next` are final (later rotations
-// only touch columns >= next), which is what lets the pipelined binomial
-// tree forward leading panels onward before the trailing ones arrive.
-//
-// Sessions are matched by panel start: a panel at column 0 opens a new
-// session, and a panel at lo > 0 attaches to the first open session
-// expecting lo.  The blocking and pipelined schedules both interleave
-// children deterministically per segment (source-specific receives in
-// fixed step order), so this demux is deterministic — the exhaustive
-// checker (tests/verify) proves it presents zero schedule freedom.
+// TSQR is a whole-state operator, like Langou's plain MPI_Reduce of R
+// factors (arXiv 1002.4250): a Givens merge is not element-wise, and the
+// schedules that move parts of a state (ring, Rabenseifner) need a
+// commutative operator, so it has no partitionable-state hooks.  combine
+// absorbs the peer's R rows in order, row i entering at column i — the
+// accum path applied to each row, so one merge is the same scalar
+// operations as absorbing those rows here.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -80,8 +64,7 @@ struct TsqrResult {
 
 /// The packed R factor is an array state (rs/ops/basic.hpp), which gives
 /// the operator its save, load and wire size; the merge is not
-/// element-wise, so combine_from_bytes and the column-panel hooks are
-/// TSQR's own.
+/// element-wise, so combine_from_bytes is TSQR's own.
 class TSQR : public ArrayState<TSQR, double> {
  public:
   static constexpr bool commutative = false;
@@ -104,23 +87,18 @@ class TSQR : public ArrayState<TSQR, double> {
     absorb_row(0, scratch_.data());
   }
 
-  /// Merge another R factor: stream the peer's columns through a fresh
-  /// session — the same code path combine_part uses, so whole-state and
-  /// segmented merges are bitwise identical by construction.
+  /// Merge another R factor: absorb its rows.
   void combine(const TSQR& other) {
     if (other.k_ != k_) {
       throw ProtocolError("TSQR: mismatched column counts in combine");
     }
-    MergeSession session(k_);
-    for (std::size_t t = 0; t < k_; ++t) {
-      absorb_column(session, t, other.r_.data() + col_offset(t));
-    }
+    absorb_rows([&](std::size_t at) { return other.r_[at]; });
   }
 
   [[nodiscard]] TsqrResult gen() const { return TsqrResult{k_, r_}; }
 
-  /// Zero-copy combine: stream the peer's serialized columns directly out
-  /// of the (unaligned) receive buffer, no temporary operator.
+  /// Zero-copy combine: absorb the peer's serialized rows directly out of
+  /// the (unaligned) receive buffer, no temporary operator.
   void combine_from_bytes(std::span<const std::byte> data) {
     bytes::Reader reader(data);
     std::uint64_t n = 0;
@@ -128,82 +106,9 @@ class TSQR : public ArrayState<TSQR, double> {
     if (n != r_.size() || !reader.exhausted()) {
       throw ProtocolError("TSQR: mismatched column counts in combine");
     }
-    MergeSession session(k_);
-    for (std::size_t t = 0; t < k_; ++t) {
-      absorb_column(session, t,
-                    unpack_column(raw.data() + col_offset(t) * sizeof(double),
-                                  t + 1));
-    }
-  }
-
-  // -- partitionable state: column panels ------------------------------------
-
-  [[nodiscard]] std::size_t part_extent() const { return k_; }
-
-  /// Column j weighs (j+1) doubles, so panels are inherently uneven —
-  /// equal-byte segmentation lands on odd column splits immediately.
-  [[nodiscard]] std::size_t part_bytes(std::size_t lo, std::size_t hi) const {
-    check_range(lo, hi);
-    return (col_offset(hi) - col_offset(lo)) * sizeof(double);
-  }
-
-  void save_part(std::size_t lo, std::size_t hi, bytes::Writer& w) const {
-    check_range(lo, hi);
-    w.put_raw(std::as_bytes(std::span<const double>(r_).subspan(
-        col_offset(lo), col_offset(hi) - col_offset(lo))));
-  }
-
-  void load_part(std::size_t lo, std::size_t hi,
-                 std::span<const std::byte> data) {
-    check_range(lo, hi);
-    if (data.size() != part_bytes(lo, hi)) {
-      throw ProtocolError("TSQR: segment arrived with mismatched size");
-    }
-    if (!data.empty()) {
-      std::memcpy(r_.data() + col_offset(lo), data.data(), data.size());
-    }
-  }
-
-  /// Streamed panel merge; panels of one peer must arrive in column order
-  /// starting at 0 (every ordered schedule satisfies this).
-  void combine_part(std::size_t lo, std::size_t hi,
-                    std::span<const std::byte> data) {
-    check_range(lo, hi);
-    if (data.size() != part_bytes(lo, hi)) {
-      throw ProtocolError("TSQR: segment arrived with mismatched size");
-    }
-    MergeSession* session = nullptr;
-    if (lo == 0) {
-      sessions_.emplace_back(k_);
-      session = &sessions_.back();
-    } else {
-      for (MergeSession& s : sessions_) {
-        if (s.next == lo) {
-          session = &s;
-          break;
-        }
-      }
-      if (session == nullptr) {
-        throw ProtocolError("TSQR: column panel out of order (no merge in "
-                            "progress expects column " + std::to_string(lo) +
-                            ")");
-      }
-    }
-    const std::byte* p = data.data();
-    for (std::size_t t = lo; t < hi; ++t) {
-      absorb_column(*session, t, unpack_column(p, t + 1));
-      p += (t + 1) * sizeof(double);
-    }
-    if (session->next == k_) {
-      // Completed merge: retire the session so the next panel at column 0
-      // opens a fresh one.
-      for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
-        if (&*it == session) {
-          sessions_.erase(it);
-          break;
-        }
-      }
-    }
+    absorb_rows([&](std::size_t at) {
+      return bytes::load_unaligned<double>(raw.data() + at * sizeof(double));
+    });
   }
 
   friend bool operator==(const TSQR& a, const TSQR& b) {
@@ -214,23 +119,6 @@ class TSQR : public ArrayState<TSQR, double> {
   friend ArrayState;
   static auto& elems(auto& self) { return self.r_; }
 
-  /// One logged Givens rotation: generated at `col`, mixing R row `col`
-  /// with one peer row.
-  struct Rotation {
-    std::uint32_t col;
-    double cs;
-    double sn;
-  };
-
-  /// Per-peer streaming merge state: the next column expected, and the
-  /// rotations generated so far for each peer row (applied in generation
-  /// order to every later column that row participates in).
-  struct MergeSession {
-    explicit MergeSession(std::size_t k) : row_rots(k) {}
-    std::size_t next = 0;
-    std::vector<std::vector<Rotation>> row_rots;
-  };
-
   static constexpr std::size_t packed_size(std::size_t k) {
     return k * (k + 1) / 2;
   }
@@ -238,20 +126,18 @@ class TSQR : public ArrayState<TSQR, double> {
     return j * (j + 1) / 2;
   }
 
-  void check_range(std::size_t lo, std::size_t hi) const {
-    if (lo > hi || hi > k_) {
-      throw ProtocolError("TSQR: segment range out of bounds");
+  /// Absorbs every row of a peer R factor whose packed entry at offset
+  /// `at` is entry(at): row i, read into the scratch row, enters at
+  /// column i.
+  template <typename Entry>
+  void absorb_rows(Entry entry) {
+    scratch_.resize(k_);
+    for (std::size_t i = 0; i < k_; ++i) {
+      for (std::size_t t = i; t < k_; ++t) {
+        scratch_[t] = entry(col_offset(t) + i);
+      }
+      absorb_row(i, scratch_.data());
     }
-  }
-
-  /// Reads one packed column (unaligned receive bytes) into the scratch
-  /// buffer and returns a pointer to the aligned doubles.
-  const double* unpack_column(const std::byte* p, std::size_t n) {
-    scratch_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch_[i] = bytes::load_unaligned<double>(p + i * sizeof(double));
-    }
-    return scratch_.data();
   }
 
   /// Row-major absorb of one dense row starting at column `first`:
@@ -274,37 +160,9 @@ class TSQR : public ArrayState<TSQR, double> {
     }
   }
 
-  /// Column-major streamed absorb of one peer column `t` (values vals[i]
-  /// = peer R(i, t) for i <= t): replay each participating peer row's
-  /// logged rotations against this column, then generate this column's
-  /// rotation for that row and log it.  `session.next` must equal t.
-  void absorb_column(MergeSession& session, std::size_t t,
-                     const double* vals) {
-    if (session.next != t) {
-      throw ProtocolError("TSQR: column panel out of order");
-    }
-    for (std::size_t i = 0; i <= t; ++i) {
-      double v = vals[i];
-      for (const Rotation& e : session.row_rots[i]) {
-        double& rc = r_[col_offset(t) + e.col];
-        const double nr = e.cs * rc + e.sn * v;
-        v = -e.sn * rc + e.cs * v;
-        rc = nr;
-      }
-      if (v == 0.0) continue;
-      double& diag = r_[col_offset(t) + t];
-      const double h = std::hypot(diag, v);
-      session.row_rots[i].push_back(
-          {static_cast<std::uint32_t>(t), diag / h, v / h});
-      diag = h;
-    }
-    session.next = t + 1;
-  }
-
   std::size_t k_;
   std::vector<double> r_;
-  std::vector<MergeSession> sessions_;  // in-flight streamed panel merges
-  std::vector<double> scratch_;         // row / unaligned-column staging
+  std::vector<double> scratch_;  // row staging for accum and combine
 };
 
 }  // namespace rsmpi::rs::ops

@@ -5,10 +5,10 @@
 // specialized to a single variable-size operator state per rank instead of
 // a fixed value buffer.  The schedules themselves live in
 // coll/schedules.hpp (binomial, combine-as-available, ring, Rabenseifner,
-// exclusive scan), coll/pipeline.hpp and coll/hierarchical.hpp; this
-// header adds the recursive-doubling butterfly, the two-message
-// reduce-then-broadcast, the planted mutation the model checker hunts,
-// and the cost-model autotuner that picks among them.
+// exclusive scan) and coll/hierarchical.hpp; this header adds the
+// recursive-doubling butterfly, the two-message reduce-then-broadcast, the
+// planted mutation the model checker hunts, and the cost-model autotuner
+// that picks among them.
 #pragma once
 
 #include <bit>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "coll/hierarchical.hpp"
-#include "coll/pipeline.hpp"
 #include "coll/schedules.hpp"
 #include "mprt/comm.hpp"
 #include "mprt/cost_model.hpp"
@@ -29,10 +28,9 @@ namespace rsmpi::rs::detail {
 
 // -- Schedule selection (ISSUE 5) -------------------------------------------
 //
-// state_allreduce/state_reduce_to_zero pick among the schedules below by
-// evaluating the ScheduleCost closed forms against the communicator's cost
-// model; RSMPI_SCHEDULE pins a schedule and RSMPI_SEGMENT_BYTES sets the
-// pipeline granularity (see docs/schedules.md).
+// state_allreduce picks among the schedules below by evaluating the
+// ScheduleCost closed forms against the communicator's cost model;
+// RSMPI_SCHEDULE pins a schedule (see docs/schedules.md).
 
 enum class Schedule {
   kAuto,         // argmin of the cost-model predictions
@@ -40,7 +38,6 @@ enum class Schedule {
   kButterfly,    // recursive doubling, whole state per round
   kRabenseifner, // chunked recursive halving + doubling (partitionable)
   kRing,         // chunked reduce-scatter + allgather ring (partitionable)
-  kPipelined,    // segmented binomial tree(s) (partitionable)
   kHierarchical, // two-level node-leader schedule (two-tier cost models)
 };
 
@@ -55,34 +52,22 @@ inline Schedule schedule_from_env() {
   if (v == "butterfly") return Schedule::kButterfly;
   if (v == "rabenseifner") return Schedule::kRabenseifner;
   if (v == "ring") return Schedule::kRing;
-  if (v == "pipelined") return Schedule::kPipelined;
   if (v == "hierarchical") return Schedule::kHierarchical;
   throw ArgumentError("RSMPI_SCHEDULE: unknown schedule name");
-}
-
-/// Reads RSMPI_SEGMENT_BYTES (pipeline segment size; default 64 KiB).
-inline std::size_t segment_bytes_from_env() {
-  const char* raw = std::getenv("RSMPI_SEGMENT_BYTES");
-  if (raw == nullptr || *raw == '\0') return kDefaultSegmentBytes;
-  const unsigned long long v = std::strtoull(raw, nullptr, 10);
-  return v == 0 ? std::size_t{1} : static_cast<std::size_t>(v);
 }
 
 /// Cost-model argmin over the allreduce schedules available to a
 /// commutative, partitionable operator.  Ties break toward the earlier
 /// entry in the candidate order below, which lists the simpler schedules
-/// first (butterfly before the segmented ones).
+/// first (butterfly before the chunked ones).
 inline Schedule choose_allreduce_schedule(const mprt::CostModel& model, int p,
-                                          std::size_t state_bytes,
-                                          std::size_t segment_bytes) {
+                                          std::size_t state_bytes) {
   using SC = mprt::ScheduleCost;
   std::vector<std::pair<Schedule, double>> candidates = {
       {Schedule::kButterfly, SC::butterfly(model, p, state_bytes)},
       {Schedule::kTwoMessage, SC::two_message(model, p, state_bytes)},
       {Schedule::kRabenseifner, SC::rabenseifner(model, p, state_bytes)},
       {Schedule::kRing, SC::ring(model, p, state_bytes)},
-      {Schedule::kPipelined,
-       SC::pipelined_tree_allreduce(model, p, state_bytes, segment_bytes)},
   };
   if (model.two_tier()) {
     // Only meaningful on a two-tier machine, and listed last: flat
@@ -119,32 +104,34 @@ void state_allreduce_mutation_unordered(mprt::Comm& comm, Op& op) {
   state_bcast_binomial(comm, whole(comm), comm.next_collective_tag(), op);
 }
 
-/// Reduces operator states to rank 0, choosing the schedule from the
-/// operator's commutativity trait (or an explicit override used by the
-/// commutativity ablation benchmark).  Partitionable states stream through
-/// the pipelined binomial tree when RSMPI_SCHEDULE forces it or the cost
-/// model strictly prefers it (large states); the pipeline is
-/// order-preserving, so this holds for non-commutative operators too.
+/// True when a commutative reduce of `op`'s state to one rank is faster
+/// on the binomial tree than on fold-on-arrival.  Fold-on-arrival's
+/// parents eject up to kUnorderedArity whole states back to back, so at
+/// p = 4^k its k levels cost about o_s + L + o_r + 3·b·G each, where the
+/// binomial tree's 2k levels cost o_s + L + o_r + b·G: the binomial tree
+/// is the faster once a state's port time b·G reaches a hop's fixed cost
+/// o_s + L + o_r.  A partitionable state has one size on every rank, so
+/// every rank picks the same tree; any other state may differ in size
+/// from rank to rank and keeps fold-on-arrival.
+template <Combinable Op>
+bool reduce_is_bandwidth_bound(const mprt::CostModel& m, const Op& op) {
+  if constexpr (PartitionableState<Op>) {
+    return static_cast<double>(part_state_bytes(op)) * m.per_byte_s >=
+           m.send_overhead_s + m.latency_s + m.recv_overhead_s;
+  }
+  return false;
+}
+
+/// Reduces operator states to rank 0 along one whole-state tree, chosen
+/// from the operator's commutativity trait (or an explicit override used by
+/// the commutativity ablation benchmark) and its state size:
+/// fold-on-arrival when commutative and not bandwidth-bound, the
+/// order-preserving binomial tree otherwise.
 template <Combinable Op>
 void state_reduce_to_zero(mprt::Comm& comm, Op& op,
                           bool commutative = op_commutative<Op>()) {
   if (comm.size() == 1) return;
-  if constexpr (PartitionableState<Op>) {
-    const Schedule forced = schedule_from_env();
-    if (forced == Schedule::kPipelined ||
-        (forced == Schedule::kAuto && [&] {
-          using SC = mprt::ScheduleCost;
-          const auto& model = comm.cost_model();
-          const std::size_t bytes = part_state_bytes(op);
-          return SC::pipelined_tree_reduce(model, comm.size(), bytes,
-                                           segment_bytes_from_env()) <
-                 SC::tree_reduce(model, comm.size(), bytes);
-        }())) {
-      state_reduce_pipelined(comm, op, segment_bytes_from_env());
-      return;
-    }
-  }
-  if (commutative) {
+  if (commutative && !reduce_is_bandwidth_bound(comm.cost_model(), op)) {
     state_reduce_unordered(comm, whole(comm), comm.next_collective_tag(), op);
   } else {
     state_reduce_binomial(comm, op);
@@ -198,18 +185,37 @@ void state_allreduce_butterfly(mprt::Comm& comm, Op& op) {
   }
 }
 
+/// Resolves the allreduce schedule for `op` — the front half shared by
+/// the one-shot dispatch below and the persistent planner
+/// (coll/persistent.hpp).  RSMPI_SCHEDULE wins when set; otherwise a
+/// commutative partitionable operator gets the cost-model argmin over
+/// {two-message, butterfly, Rabenseifner, ring}, counted as one autotune
+/// invocation.  Every other operator keeps kAuto, which
+/// state_allreduce_with_schedule runs as its default schedule.
+template <Combinable Op>
+Schedule resolve_allreduce_schedule(mprt::Comm& comm, const Op& op,
+                                    bool commutative) {
+  const Schedule forced = schedule_from_env();
+  if constexpr (PartitionableState<Op>) {
+    if (forced == Schedule::kAuto && commutative) {
+      comm.note(mprt::Metric::kAutotuneInvocations);
+      return choose_allreduce_schedule(comm.cost_model(), comm.size(),
+                                       part_state_bytes(op));
+    }
+  }
+  return forced;
+}
+
 /// Executes an allreduce with an already-resolved schedule decision — the
 /// shared back half of the fresh dispatch below and of the persistent-plan
 /// executor (coll/persistent.hpp), so a cached plan runs bit-identically
 /// to a freshly-planned call.  Performs no planning of its own: no env
 /// reads, no cost-model argmins.  Non-commutative operators always take
 /// the order-preserving reduce+bcast; non-partitionable commutative ones
-/// fall back to the whole-state butterfly for any segmented schedule name.
+/// fall back to the whole-state butterfly for any chunked schedule name.
 template <Combinable Op>
 void state_allreduce_with_schedule(mprt::Comm& comm, Op& op,
-                                   Schedule schedule,
-                                   std::size_t segment_bytes,
-                                   bool commutative) {
+                                   Schedule schedule, bool commutative) {
   if (comm.size() == 1) return;
   if (!commutative) {
     // The hierarchical schedule is order-preserving when its leader tier
@@ -234,9 +240,6 @@ void state_allreduce_with_schedule(mprt::Comm& comm, Op& op,
       case Schedule::kRing:
         state_allreduce_ring(comm, op);
         return;
-      case Schedule::kPipelined:
-        state_allreduce_pipelined(comm, op, segment_bytes);
-        return;
       case Schedule::kHierarchical:
         state_allreduce_hierarchical(comm, op, /*commutative=*/true);
         return;
@@ -256,45 +259,21 @@ void state_allreduce_with_schedule(mprt::Comm& comm, Op& op,
   }
 }
 
-/// Allreduce dispatch.  Non-commutative operators always take the
-/// order-preserving reduce+bcast.  Commutative *partitionable* operators
-/// are autotuned: the cost-model argmin over {two-message, butterfly,
-/// Rabenseifner, ring, pipelined}, overridable via RSMPI_SCHEDULE.
-/// Commutative non-partitionable operators keep the whole-state butterfly
-/// (segmented schedule names in RSMPI_SCHEDULE gracefully fall back to it;
-/// only two_message is honoured, since it needs no partitioning).  The
-/// `commutative` override is used by the ablation benchmarks and by tests
-/// pinning a specific schedule.
+/// Allreduce dispatch: resolve_allreduce_schedule, then
+/// state_allreduce_with_schedule.  Non-commutative operators always take
+/// an order-preserving schedule; commutative partitionable ones are
+/// autotuned; commutative non-partitionable ones keep the whole-state
+/// butterfly (chunked schedule names in RSMPI_SCHEDULE fall back to it;
+/// only two_message and hierarchical are honoured).  The `commutative`
+/// override is used by the ablation benchmarks and by tests pinning a
+/// specific schedule.
 template <Combinable Op>
 void state_allreduce(mprt::Comm& comm, Op& op,
                      bool commutative = op_commutative<Op>()) {
   if (comm.size() == 1) return;
-  if (!commutative) {
-    // Never autotuned for noncommutative operators (the hierarchical
-    // bracketing differs from the flat reduce tree's), but an explicit
-    // RSMPI_SCHEDULE=hierarchical is honoured on a two-tier model — the
-    // ordered leader tier keeps it legal.
-    if (schedule_from_env() == Schedule::kHierarchical &&
-        comm.cost_model().two_tier()) {
-      state_allreduce_hierarchical(comm, op, /*commutative=*/false);
-      return;
-    }
-    state_allreduce_reduce_bcast(comm, op, /*commutative=*/false);
-    return;
-  }
-  const Schedule forced = schedule_from_env();
-  Schedule schedule = forced;
-  std::size_t segment_bytes = kDefaultSegmentBytes;
-  if constexpr (PartitionableState<Op>) {
-    segment_bytes = segment_bytes_from_env();
-    if (forced == Schedule::kAuto) {
-      comm.note(mprt::Metric::kAutotuneInvocations);
-      schedule = choose_allreduce_schedule(comm.cost_model(), comm.size(),
-                                           part_state_bytes(op), segment_bytes);
-    }
-  }
-  state_allreduce_with_schedule(comm, op, schedule, segment_bytes,
-                                /*commutative=*/true);
+  state_allreduce_with_schedule(
+      comm, op, resolve_allreduce_schedule(comm, op, commutative),
+      commutative);
 }
 
 }  // namespace rsmpi::rs::detail

@@ -1,9 +1,8 @@
 // Scenario matrix for the exhaustive model checker (ISSUE 7), built over
 // the shared operator registry (src/verify/registry.hpp, ISSUE 9): the
 // zoo, per-rank inputs, and oracles live there so the sim / par suites
-// enumerate the same list.  Scenario builders cover the five autotuned
-// schedules (blocking path), the direct pipelined panel path for
-// partitionable operators, the planted mutation, the nonblocking paths
+// enumerate the same list.  Scenario builders cover the four autotuned
+// schedules (blocking path), the planted mutation, the nonblocking paths
 // (the commutative two-message allreduce through the progress engine, plus
 // reduce_async), and the persistent-plan replay from src/svc — each
 // scenario a self-checking Runner comparing every completed rank's result
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "coll/nb/progress.hpp"
-#include "coll/pipeline.hpp"
 #include "mprt/runtime.hpp"
 #include "rs/async.hpp"
 #include "rs/ops/counts.hpp"
@@ -97,18 +95,11 @@ inline std::string schedule_name(rs::detail::Schedule schedule) {
       return "rabenseifner";
     case S::kRing:
       return "ring";
-    case S::kPipelined:
-      return "pipelined";
     case S::kHierarchical:
       return "hierarchical";
   }
   return "unknown";
 }
-
-/// Small segments so the segmented schedules (ring / pipelined /
-/// Rabenseifner chunks) actually split the checker states into multiple
-/// messages instead of degenerating to one segment.
-inline constexpr std::size_t kCheckerSegmentBytes = 8;
 
 /// Blocking allreduce through one pinned schedule.
 template <typename Op>
@@ -120,7 +111,6 @@ Scenario blocking_scenario(const std::string& op_name, int p,
   s.runner = detail::make_runner<Op>(p, [schedule](mprt::Comm& comm) {
     Op op = accumulated<Op>(comm.rank());
     rs::detail::state_allreduce_with_schedule(comm, op, schedule,
-                                              kCheckerSegmentBytes,
                                               rs::op_commutative<Op>());
     return rs::red_result(op);
   });
@@ -159,8 +149,7 @@ Scenario nb_tree_scenario(const std::string& op_name, int p) {
     auto request = coll::nb::ProgressEngine::current().launch(
         comm, [&](mprt::Comm& c) {
           rs::detail::state_allreduce_with_schedule(
-              c, op, rs::detail::Schedule::kTwoMessage, kCheckerSegmentBytes,
-              /*commutative=*/true);
+              c, op, rs::detail::Schedule::kTwoMessage, /*commutative=*/true);
         });
     request.wait();
     return rs::red_result(op);
@@ -179,26 +168,6 @@ Scenario async_scenario(const std::string& op_name, int p) {
     auto future = rs::reduce_async(comm, rank_inputs<Op>(comm.rank()),
                                    make_prototype<Op>());
     return future.get();
-  });
-  return s;
-}
-
-/// The order-preserving pipelined binomial allreduce driven directly with
-/// the tiny checker segment size, so partitionable states genuinely
-/// stream as multiple panels — for TSQR, column panels through the
-/// streamed-session merge.  This is the path that proves the panel
-/// machinery presents zero schedule freedom under exhaustive exploration.
-template <typename Op>
-Scenario pipelined_panel_scenario(const std::string& op_name, int p) {
-  static_assert(rs::op_partitionable<Op>(),
-                "pipelined_panel_scenario needs partitionable state");
-  Scenario s;
-  s.name = op_name + "-pipelined-panels-p" + std::to_string(p);
-  s.num_ranks = p;
-  s.runner = detail::make_runner<Op>(p, [](mprt::Comm& comm) {
-    Op op = accumulated<Op>(comm.rank());
-    rs::detail::state_allreduce_pipelined(comm, op, kCheckerSegmentBytes);
-    return rs::red_result(op);
   });
   return s;
 }
@@ -284,13 +253,12 @@ class ScenarioSet {
 };
 
 /// The standard checker matrix at one machine size, enumerated from the
-/// shared registry (satellite 6): every zoo operator gets the blocking
-/// schedules its traits admit (all five for partitionable or
-/// noncommutative operators — noncommutative ones route every name to the
-/// order-preserving path — two for the rest), the commutative ones the
-/// two-message allreduce through the progress engine, the partitionable
-/// ones the direct pipelined panel path, plus the async and persistent
-/// tiers per the registry flags.  The planted mutation is NOT in the standard set —
+/// shared registry: every zoo operator gets the blocking schedules its
+/// traits admit (all four for partitionable or noncommutative operators —
+/// noncommutative ones route every name to the order-preserving path — two
+/// for the rest), the commutative ones the two-message allreduce through
+/// the progress engine, plus the async and persistent tiers per the
+/// registry flags.  The planted mutation is NOT in the standard set —
 /// mutation_scenario builds it for the detection test only.
 inline ScenarioSet standard_scenarios(int p) {
   using S = rs::detail::Schedule;
@@ -299,8 +267,8 @@ inline ScenarioSet standard_scenarios(int p) {
     using Op = typename decltype(tag)::type;
     const std::string name = info.name;
     const bool all_schedules = info.partitionable || !info.commutative;
-    for (const S schedule : {S::kTwoMessage, S::kButterfly, S::kRabenseifner,
-                             S::kRing, S::kPipelined}) {
+    for (const S schedule :
+         {S::kTwoMessage, S::kButterfly, S::kRabenseifner, S::kRing}) {
       if (!all_schedules && schedule != S::kTwoMessage &&
           schedule != S::kButterfly) {
         continue;
@@ -309,9 +277,6 @@ inline ScenarioSet standard_scenarios(int p) {
     }
     if constexpr (rs::op_commutative<Op>()) {
       set.add(nb_tree_scenario<Op>(name, p));
-    }
-    if constexpr (rs::op_partitionable<Op>()) {
-      set.add(pipelined_panel_scenario<Op>(name, p));
     }
     if (info.async_tier) set.add(async_scenario<Op>(name, p));
     if (info.persistent_tier) set.add(persistent_scenario<Op>(name, p));

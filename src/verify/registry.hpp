@@ -16,9 +16,9 @@
 //     the serial left fold over all ranks' inputs is the expected result
 //     under *every* schedule;
 //   * TSQR (floating-point, bit-level nonassociative): every ordered path
-//     in the runtime — blocking reduce+bcast, the pipelined binomial
-//     tree, either of them run by reduce_async on the progress engine,
-//     the persistent-plan replay — folds states along mprt::topology's
+//     in the runtime — blocking reduce+bcast, the same run by
+//     reduce_async on the progress engine, the persistent-plan replay —
+//     folds states along mprt::topology's
 //     binomial reduce schedule, so binomial_reduce_oracle replicates that
 //     bracketing locally and is the bit-exact expectation for all of them.
 #pragma once
@@ -210,7 +210,7 @@ rs::reduce_result_t<Op> expected_result(int p) {
 struct ZooOpInfo {
   const char* name;    // scenario-name prefix, stable across PRs
   bool commutative;    // rs::op_commutative<Op>()
-  bool partitionable;  // segmented schedules + panel scenarios apply
+  bool partitionable;  // rs::op_partitionable<Op>(): segmented schedules
   bool exact;          // combine bitwise associative: serial fold is the
                        // oracle under any bracketing; false => only
                        // ordered schedules + binomial_fold oracle
@@ -236,7 +236,7 @@ void for_each_zoo_op(Fn&& fn) {
   fn(ZooTag<CanonSet>{},
      ZooOpInfo{"canon", true, false, true, false, false});
   fn(ZooTag<rs::ops::TSQR>{},
-     ZooOpInfo{"tsqr", false, true, false, true, true});
+     ZooOpInfo{"tsqr", false, false, false, true, true});
 }
 
 /// The registered names, for coverage assertions.

@@ -219,7 +219,6 @@ TEST(Hierarchical, TrafficAndFinishArePinned) {
 TEST(Hierarchical, AutotunerPicksHierarchicalAtScale) {
   const CostModel smp = CostModel::cluster_of_smp(8);
   constexpr std::size_t kBytes = 64 * 1024;
-  constexpr std::size_t kSegment = 4 * 1024;
 
   for (const int p : {256, 1024, 4096}) {
     const double hier = ScheduleCost::hierarchical(smp, p, kBytes);
@@ -227,18 +226,17 @@ TEST(Hierarchical, AutotunerPicksHierarchicalAtScale) {
     EXPECT_LT(hier, ScheduleCost::two_message(smp, p, kBytes)) << "p=" << p;
     EXPECT_LT(hier, ScheduleCost::rabenseifner(smp, p, kBytes)) << "p=" << p;
     EXPECT_LT(hier, ScheduleCost::ring(smp, p, kBytes)) << "p=" << p;
-    EXPECT_EQ(rs::detail::choose_allreduce_schedule(smp, p, kBytes, kSegment),
+    EXPECT_EQ(rs::detail::choose_allreduce_schedule(smp, p, kBytes),
               Schedule::kHierarchical)
         << "p=" << p;
   }
 
   // Small machines stay on flat schedules even under the two-tier model...
-  EXPECT_NE(rs::detail::choose_allreduce_schedule(smp, 8, kBytes, kSegment),
+  EXPECT_NE(rs::detail::choose_allreduce_schedule(smp, 8, kBytes),
             Schedule::kHierarchical);
   // ...and flat models never see the hierarchical candidate at all.
-  EXPECT_NE(
-      rs::detail::choose_allreduce_schedule(CostModel{}, 1024, kBytes, kSegment),
-      Schedule::kHierarchical);
+  EXPECT_NE(rs::detail::choose_allreduce_schedule(CostModel{}, 1024, kBytes),
+            Schedule::kHierarchical);
 }
 
 // Per-tier traffic accounting: under a two-tier model every sent byte is

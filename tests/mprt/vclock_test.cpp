@@ -5,6 +5,9 @@
 // exact expected makespans.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <vector>
+
 #include "mprt/comm.hpp"
 #include "mprt/cost_model.hpp"
 #include "mprt/runtime.hpp"
@@ -30,13 +33,13 @@ TEST(CostModel, WireTime) {
   CostModel m;
   m.latency_s = 5.0;
   m.per_byte_s = 0.25;
-  EXPECT_DOUBLE_EQ(m.wire_time(0), 5.0);
-  EXPECT_DOUBLE_EQ(m.wire_time(8), 7.0);
+  EXPECT_DOUBLE_EQ(m.wire_time_between(0, 1, 0), 5.0);
+  EXPECT_DOUBLE_EQ(m.wire_time_between(0, 1, 8), 7.0);
 }
 
 TEST(CostModel, FreeModelIsFree) {
   const CostModel m = CostModel::free();
-  EXPECT_DOUBLE_EQ(m.wire_time(1 << 20), 0.0);
+  EXPECT_DOUBLE_EQ(m.wire_time_between(0, 1, 1 << 20), 0.0);
   EXPECT_DOUBLE_EQ(m.send_overhead_s, 0.0);
   EXPECT_DOUBLE_EQ(m.recv_overhead_s, 0.0);
 }
@@ -157,6 +160,118 @@ TEST(VClock, ComputeScaleZeroSuppressesCharging) {
       },
       deterministic_model());
   EXPECT_DOUBLE_EQ(result.makespan_s, 0.0);
+}
+
+// -- Ports: one injection and one ejection port per rank and tier ----------
+//
+// Under deterministic_model() a message of b = 100 bytes holds a port for
+// b·G = 50.  Every case below finishes at exactly k·b·G + L + o_s + o_r:
+// the ports serialize the k messages' bytes, and only one latency and one
+// pair of overheads stay exposed.
+
+constexpr std::size_t kPortBytes = 100;
+constexpr double kPortTime = 50.0;  // kPortBytes * G
+
+void send_port_message(Comm& comm, int dest) {
+  const std::vector<std::byte> payload(kPortBytes);
+  comm.send_bytes(dest, 0, payload);
+}
+
+TEST(VClockPorts, StreamFinishesNoEarlierThanItsBytes) {
+  // Rank 0 streams k messages to rank 1: message i departs when the
+  // injection port frees, at 1 + (i−1)·bG, so the last arrives at
+  // 1 + L + k·bG and completes there, plus o_r.
+  for (const int k : {1, 2, 5, 16}) {
+    const auto result = mprt::run(
+        2,
+        [k](Comm& comm) {
+          for (int i = 0; i < k; ++i) {
+            if (comm.rank() == 0) {
+              send_port_message(comm, 1);
+            } else {
+              (void)comm.recv_message(0, 0);
+            }
+          }
+        },
+        deterministic_model());
+    EXPECT_GE(result.rank_times_s[1], k * kPortTime) << "k=" << k;
+    EXPECT_DOUBLE_EQ(result.rank_times_s[1], k * kPortTime + 13.0)
+        << "k=" << k;
+    // The sender's CPU pays only o_s per message; its port does the rest.
+    EXPECT_DOUBLE_EQ(result.rank_times_s[0], static_cast<double>(k));
+  }
+}
+
+TEST(VClockPorts, FanInFinishesNoEarlierThanItsBytes) {
+  // k ranks send to rank 0 at once: all arrive at 1 + L + bG = 61, and the
+  // root's ejection port takes their bytes one message after another.
+  for (const int k : {1, 2, 4, 7}) {
+    const auto result = mprt::run(
+        k + 1,
+        [k](Comm& comm) {
+          if (comm.rank() == 0) {
+            for (int i = 0; i < k; ++i) {
+              (void)comm.recv_message(mprt::kAnySource, 0);
+            }
+          } else {
+            send_port_message(comm, 0);
+          }
+        },
+        deterministic_model());
+    EXPECT_GE(result.rank_times_s[0], k * kPortTime) << "k=" << k;
+    EXPECT_DOUBLE_EQ(result.rank_times_s[0], k * kPortTime + 13.0)
+        << "k=" << k;
+  }
+}
+
+TEST(VClockPorts, TiersHaveTheirOwnPorts) {
+  // Ranks 0 and 1 share a node, rank 2 is on the next.  Rank 0 streams
+  // three messages to rank 1 and then sends one to rank 2: the inter-node
+  // port is still free, so that message departs at rank 0's clock (4 after
+  // four o_s) and rank 2 finishes at 4 + L + bG + o_r = 66.
+  CostModel m = deterministic_model();
+  m.ranks_per_node = 2;
+  m.intra_send_overhead_s = 1.0;
+  m.intra_recv_overhead_s = 2.0;
+  m.intra_latency_s = 10.0;
+  m.intra_per_byte_s = 0.5;
+  const auto result = mprt::run(
+      3,
+      [](Comm& comm) {
+        if (comm.rank() == 0) {
+          for (int i = 0; i < 3; ++i) send_port_message(comm, 1);
+          send_port_message(comm, 2);
+        } else if (comm.rank() == 1) {
+          for (int i = 0; i < 3; ++i) (void)comm.recv_message(0, 0);
+        } else {
+          (void)comm.recv_message(0, 0);
+        }
+      },
+      m);
+  EXPECT_DOUBLE_EQ(result.rank_times_s[2], 66.0);
+  EXPECT_DOUBLE_EQ(result.rank_times_s[1], 3 * kPortTime + 13.0);
+}
+
+TEST(VClockPorts, ResetClearsThePortsAndJoinTakesTheLater) {
+  mprt::VirtualClock c;
+  EXPECT_DOUBLE_EQ(c.inject(false, 5.0), 0.0);
+  EXPECT_DOUBLE_EQ(c.inject(false, 5.0), 5.0);  // waits for the port
+  EXPECT_DOUBLE_EQ(c.eject(false, 1.0, 5.0), 5.0);
+  EXPECT_DOUBLE_EQ(c.eject(false, 1.0, 5.0), 10.0);
+  // Joining a timeline (a nonblocking operation's) takes the later time
+  // and, port by port, the later free time.
+  mprt::VirtualClock op = c;
+  op.advance(2.0);
+  EXPECT_DOUBLE_EQ(op.inject(true, 3.0), 2.0);  // the intra-node port
+  c.join(op);
+  EXPECT_DOUBLE_EQ(c.now(), 2.0);
+  EXPECT_DOUBLE_EQ(c.inject(true, 1.0), 5.0);
+  EXPECT_DOUBLE_EQ(c.inject(false, 5.0), 10.0);
+  EXPECT_DOUBLE_EQ(c.eject(false, 1.0, 5.0), 15.0);
+  c.reset();
+  EXPECT_DOUBLE_EQ(c.now(), 0.0);
+  EXPECT_DOUBLE_EQ(c.inject(false, 5.0), 0.0);
+  EXPECT_DOUBLE_EQ(c.eject(false, 1.0, 5.0), 5.0);
 }
 
 }  // namespace

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "coll/nb/progress.hpp"
@@ -320,6 +323,47 @@ TEST(Overlap, MakespanIndependentOfWorkers) {
           << workers << " workers, repetition " << rep;
     }
   }
+}
+
+
+// Rank 0 launches a 4-rank reduce_async (a butterfly) and then sends a
+// 256 KiB message to rank 2 on its own timeline.  With `partner_first`,
+// rank 1's first-round message is already queued when rank 0 launches, so
+// the operation posts its second-round send before the big one in host
+// order; otherwise rank 1 launches only after the big send, and that
+// operation send is posted from get().  Its virtual instant is the same
+// either way.
+double overlapped_send_makespan(bool partner_first) {
+  mprt::CostModel model;  // default LogGP parameters
+  model.compute_scale = 0.0;
+  std::atomic<bool> rank1_launched{false};
+  std::atomic<bool> rank0_sent{false};
+  const auto body = [&](Comm& comm) {
+    const int rank = comm.rank();
+    if (rank == 0 && partner_first) {
+      while (!rank1_launched.load()) comm.yield_rank();
+    }
+    if (rank == 1 && !partner_first) {
+      while (!rank0_sent.load()) comm.yield_rank();
+    }
+    auto future = rs::reduce_async(comm, rank_slice(rank), rs::ops::Counts(128));
+    if (rank == 1) rank1_launched.store(true);
+    if (rank == 0) {
+      const std::vector<std::byte> big(std::size_t{256} << 10);
+      comm.send_bytes(2, 7, std::span<const std::byte>(big));
+      rank0_sent.store(true);
+    }
+    if (rank == 2) (void)comm.recv_message(0, 7);
+    (void)future.get();
+  };
+  return mprt::run(4, body, model).makespan_s;
+}
+
+// An operation's sends book the ports of its own timeline, and the rank's
+// sends made while it is in flight book the rank's: which of the two the
+// host happens to post first must not move the makespan.
+TEST(Overlap, OperationSendsDoNotQueueInHostOrder) {
+  EXPECT_EQ(overlapped_send_makespan(true), overlapped_send_makespan(false));
 }
 
 }  // namespace

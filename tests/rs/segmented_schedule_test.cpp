@@ -1,19 +1,20 @@
-// Tests for the segmented (partitionable-state) schedules of ISSUE 5:
+// Tests for the segmented (partitionable-state) schedules:
 //
 //  * the partitionable hook contract itself, via the sequential oracle
 //    serial::combine_via_parts at several segmentation widths;
-//  * bit-identical equivalence of ring, chunked Rabenseifner, and
-//    pipelined-tree allreduce with the legacy two-message schedule for the
-//    operator zoo, across power-of-two and non-power-of-two rank counts,
-//    fault-free and under benign fault plans (delay/duplicate/reorder);
-//  * the pipelined binomial reduce against the order-preserving binomial;
+//  * bit-identical equivalence of the ring and chunked Rabenseifner
+//    allreduce with the legacy two-message schedule for the operator zoo,
+//    across power-of-two and non-power-of-two rank counts, fault-free and
+//    under benign fault plans (delay/duplicate/reorder);
 //  * the cost-model schedule autotuner's decision table and its env-var
-//    override/fallback behaviour (RSMPI_SCHEDULE / RSMPI_SEGMENT_BYTES);
+//    override/fallback behaviour (RSMPI_SCHEDULE), and the size-chosen
+//    tree of a commutative reduce to rank 0;
 //  * the nonblocking (progress-engine) path sending the blocking
 //    schedule's messages under every schedule pin; and
 //  * segment-buffer recycling surfacing in RunResult::segments_reused.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstddef>
 #include <span>
@@ -93,10 +94,9 @@ TEST(PartitionableContract, TraitDetection) {
   EXPECT_TRUE(rs::op_partitionable<ops::Sum<long>>());
   EXPECT_TRUE(rs::op_partitionable<ops::Min<int>>());
   EXPECT_TRUE(rs::op_partitionable<ops::Max<int>>());
-  // TSQR's streamed column-panel merge makes it partitionable despite the
-  // non-element-wise combine (ISSUE 9).
-  EXPECT_TRUE(rs::op_partitionable<ops::TSQR>());
-  // Order- or structure-dependent states cannot combine range-by-range.
+  // Order- or structure-dependent states cannot combine range-by-range;
+  // TSQR's Givens merge is not element-wise either.
+  EXPECT_FALSE(rs::op_partitionable<ops::TSQR>());
   EXPECT_FALSE(rs::op_partitionable<ops::Concat>());
   EXPECT_FALSE(rs::op_partitionable<ops::Sorted<int>>());
   EXPECT_FALSE(rs::op_partitionable<ops::MinK<int>>());
@@ -105,36 +105,14 @@ TEST(PartitionableContract, TraitDetection) {
 // Segment widths for the combine_via_parts oracle sweeps.  The original
 // sweep leaned on powers of two (plus the extent itself), which never
 // exercised split points landing mid-way through an odd remainder — the
-// production segmenter picks byte budgets, not element counts, so odd and
-// prime widths are the common case, not the corner (ISSUE 9 satellite).
+// ring and Rabenseifner cut n elements into p or 2^k chunks, so odd and
+// prime widths are the common case, not the corner.
 const std::size_t kPartWidths[] = {1, 2, 3, 5, 7, 11, 13, 31, 32,
                                    61, 97, 128, 1000};
 
 TEST(PartitionableContract, CombineViaPartsMatchesWholeCombine) {
   const auto left = filled_counts(97, 0);
   const auto right = filled_counts(97, 1);
-  const auto whole = rs::serial::combine(left, right);
-  for (const std::size_t width : kPartWidths) {
-    const auto parts = rs::serial::combine_via_parts(left, right, width);
-    EXPECT_EQ(save_op(parts), save_op(whole)) << "segment width " << width;
-  }
-}
-
-// Regression (ISSUE 9 satellite): TSQR panels weigh j+1 doubles at column
-// j, so every split width that is not a multiple of the extent lands on
-// uneven panels — the streamed-session merge must still be bitwise equal
-// to the whole-state combine at *every* width, odd and prime included.
-TEST(PartitionableContract, TsqrCombineViaPartsAtOddWidths) {
-  constexpr std::size_t kCols = 7;
-  ops::TSQR left(kCols), right(kCols);
-  for (int i = 0; i < 23; ++i) {
-    std::vector<double> row(kCols);
-    for (std::size_t c = 0; c < kCols; ++c) {
-      row[c] = static_cast<double>((i * 17 + static_cast<int>(c) * 29) % 37 -
-                                   18);
-    }
-    (i % 2 == 0 ? left : right).accum(row);
-  }
   const auto whole = rs::serial::combine(left, right);
   for (const std::size_t width : kPartWidths) {
     const auto parts = rs::serial::combine_via_parts(left, right, width);
@@ -221,15 +199,10 @@ void segmented_schedules_agree(const Op& prototype, Fill fill, Eq eq) {
             rs::detail::state_allreduce_ring(comm, ring);
             Op rab = mine;
             rs::detail::state_allreduce_rabenseifner(comm, rab);
-            Op pipe = mine;
-            // A deliberately tiny segment so even small states pipeline.
-            rs::detail::state_allreduce_pipelined(comm, pipe,
-                                                  /*segment_bytes=*/64);
             const std::string ctx = "p=" + std::to_string(p) +
                                     (faulted ? " faulted" : "");
             eq(legacy, ring, "ring " + ctx);
             eq(legacy, rab, "rabenseifner " + ctx);
-            eq(legacy, pipe, "pipelined " + ctx);
           },
           mprt::CostModel{}, faulted ? benign_plan(p, variant) : SimConfig{});
       ++variant;
@@ -304,80 +277,50 @@ TEST(SegmentedSchedules, MeanVarAgreesUpToRounding) {
       });
 }
 
-TEST(SegmentedSchedules, PipelinedReduceMatchesBinomialBitExact) {
-  // The pipelined reduce replays the binomial tree segment by segment, so
-  // rank 0's state must be bit-identical at *every* segment size.
-  for (const int p : kSegRanks) {
-    for (const std::size_t seg :
-         {std::size_t{64}, std::size_t{200}, std::size_t{1} << 20}) {
-      mprt::run(p, [&](Comm& comm) {
-        ops::Counts mine = filled_counts(97, comm.rank());
-        ops::Counts binomial = mine;
-        rs::detail::state_reduce_binomial(comm, binomial);
-        ops::Counts pipelined = mine;
-        rs::detail::state_reduce_pipelined(comm, pipelined, seg);
-        if (comm.rank() == 0) {
-          EXPECT_EQ(save_op(pipelined), save_op(binomial))
-              << "p=" << p << " segment_bytes=" << seg;
-        }
-      });
-    }
-  }
-}
-
 // --- autotuner --------------------------------------------------------------
 
 TEST(Autotuner, DecisionTableUnderDefaultModel) {
   const mprt::CostModel m;  // o = 1 us, L = 10 us, G = 1 ns/B
-  const std::size_t seg = rs::detail::kDefaultSegmentBytes;
   using rs::detail::choose_allreduce_schedule;
 
   // Small states: latency-dominated, the log-round butterfly wins.
-  EXPECT_EQ(choose_allreduce_schedule(m, 8, 4 * 1024, seg),
+  EXPECT_EQ(choose_allreduce_schedule(m, 8, 4 * 1024), Schedule::kButterfly);
+  EXPECT_EQ(choose_allreduce_schedule(m, 16, 16 * 1024),
             Schedule::kButterfly);
-  EXPECT_EQ(choose_allreduce_schedule(m, 16, 16 * 1024, seg),
-            Schedule::kButterfly);
-  // One-segment states past the butterfly's comfort zone: chunked
-  // Rabenseifner (bandwidth-optimal volume in only 2·log2 p rounds, while
-  // a single-segment pipeline degenerates to the two-message tree).
-  EXPECT_EQ(choose_allreduce_schedule(m, 16, 64 * 1024, seg),
+  // Past the butterfly's comfort zone at power-of-two p: chunked
+  // Rabenseifner, bandwidth-optimal volume in only 2·log2 p rounds, up to
+  // the largest states.
+  EXPECT_EQ(choose_allreduce_schedule(m, 16, 64 * 1024),
             Schedule::kRabenseifner);
-  EXPECT_EQ(choose_allreduce_schedule(m, 8, 64 * 1024, seg),
+  EXPECT_EQ(choose_allreduce_schedule(m, 8, 64 * 1024),
             Schedule::kRabenseifner);
-  // A shallow pipeline (n barely past one segment) at small non-power-of-
-  // two p: the ring's 2·(p−1) chunk hops undercut both the halving
-  // schedule's whole-state fold penalty and a depth-2 pipeline.
-  EXPECT_EQ(choose_allreduce_schedule(m, 3, 100 * 1024, seg),
-            Schedule::kRing);
-  // Many-segment states: the pipelined tree's fill-and-drain critical path
-  // (segments overlap across levels) beats every bulk schedule.
-  EXPECT_EQ(choose_allreduce_schedule(m, 16, 4 * 1024 * 1024, seg),
-            Schedule::kPipelined);
-  EXPECT_EQ(choose_allreduce_schedule(m, 8, 512 * 1024, seg),
-            Schedule::kPipelined);
+  EXPECT_EQ(choose_allreduce_schedule(m, 16, 4 * 1024 * 1024),
+            Schedule::kRabenseifner);
+  EXPECT_EQ(choose_allreduce_schedule(m, 8, 512 * 1024),
+            Schedule::kRabenseifner);
+  // At small non-power-of-two p the ring's 2·(p−1) chunk hops undercut
+  // the halving schedule's whole-state fold penalty.
+  EXPECT_EQ(choose_allreduce_schedule(m, 3, 100 * 1024), Schedule::kRing);
 }
 
 TEST(Autotuner, ChoiceIsTheCostModelArgmin) {
   const mprt::CostModel m;
-  const std::size_t seg = rs::detail::kDefaultSegmentBytes;
   using SC = mprt::ScheduleCost;
   for (const int p : {2, 3, 5, 8, 12, 16, 32}) {
     for (const std::size_t bytes :
          {std::size_t{256}, std::size_t{4096}, std::size_t{65536},
           std::size_t{1} << 20, std::size_t{4} << 20}) {
-      const Schedule s = rs::detail::choose_allreduce_schedule(m, p, bytes, seg);
+      const Schedule s = rs::detail::choose_allreduce_schedule(m, p, bytes);
       const double costs[] = {
           SC::two_message(m, p, bytes), SC::butterfly(m, p, bytes),
-          SC::rabenseifner(m, p, bytes), SC::ring(m, p, bytes),
-          SC::pipelined_tree_allreduce(m, p, bytes, seg)};
+          SC::rabenseifner(m, p, bytes), SC::ring(m, p, bytes)};
       double best = costs[0];
       for (const double c : costs) best = std::min(best, c);
       const double chosen =
           s == Schedule::kTwoMessage    ? costs[0]
           : s == Schedule::kButterfly   ? costs[1]
           : s == Schedule::kRabenseifner ? costs[2]
-          : s == Schedule::kRing         ? costs[3]
-                                         : costs[4];
+                                         : costs[3];
       EXPECT_DOUBLE_EQ(chosen, best) << "p=" << p << " bytes=" << bytes;
     }
   }
@@ -399,22 +342,13 @@ TEST(Autotuner, EnvParsing) {
     EXPECT_EQ(schedule_from_env(), Schedule::kTwoMessage);
   }
   {
-    EnvGuard g("RSMPI_SCHEDULE", "pipelined");
-    EXPECT_EQ(schedule_from_env(), Schedule::kPipelined);
-  }
-  {
     EnvGuard g("RSMPI_SCHEDULE", "hypercube");  // typo → loud failure
     EXPECT_THROW(schedule_from_env(), ArgumentError);
   }
-  using rs::detail::segment_bytes_from_env;
-  EXPECT_EQ(segment_bytes_from_env(), rs::detail::kDefaultSegmentBytes);
   {
-    EnvGuard g("RSMPI_SEGMENT_BYTES", "4096");
-    EXPECT_EQ(segment_bytes_from_env(), 4096u);
-  }
-  {
-    EnvGuard g("RSMPI_SEGMENT_BYTES", "0");  // clamped to something sane
-    EXPECT_EQ(segment_bytes_from_env(), 1u);
+    // Names no schedule, so it fails as loudly as a typo.
+    EnvGuard g("RSMPI_SCHEDULE", "pipelined");
+    EXPECT_THROW(schedule_from_env(), ArgumentError);
   }
 }
 
@@ -467,6 +401,54 @@ TEST(Autotuner, AutotunedDispatchMatchesLegacyOnLargeStates) {
   }
 }
 
+/// Modelled critical path of `reduce` run on `buckets`-bucket Counts states
+/// at p ranks, on the default model at compute_scale 0.
+template <typename Reduce>
+double counts_reduce_seconds(int p, std::size_t buckets, Reduce reduce) {
+  mprt::CostModel model;
+  model.compute_scale = 0.0;
+  return mprt::run(
+             p,
+             [&](Comm& comm) {
+               ops::Counts op = filled_counts(buckets, comm.rank());
+               reduce(comm, op);
+             },
+             model)
+      .makespan_s;
+}
+
+// A commutative reduce to rank 0 takes fold-on-arrival while a
+// partitionable state is small and the binomial tree once it is
+// bandwidth-bound, so it runs the faster of the two whole-state trees.
+TEST(ReduceToRoot, TakesTheFasterWholeStateTree) {
+  for (const int p : {4, 8, 16}) {
+    for (const std::size_t bytes :
+         {std::size_t{4} << 10, std::size_t{64} << 10}) {
+      const std::size_t buckets = bytes / sizeof(long);
+      const double fold =
+          counts_reduce_seconds(p, buckets, [](Comm& comm, ops::Counts& op) {
+            rs::detail::state_reduce_unordered(comm, rs::detail::whole(comm),
+                                               comm.next_collective_tag(), op);
+          });
+      const double binomial =
+          counts_reduce_seconds(p, buckets, [](Comm& comm, ops::Counts& op) {
+            rs::detail::state_reduce_binomial(comm, op);
+          });
+      const double dispatched =
+          counts_reduce_seconds(p, buckets, [](Comm& comm, ops::Counts& op) {
+            rs::detail::state_reduce_to_zero(comm, op);
+          });
+      if (bytes < (std::size_t{16} << 10)) {
+        EXPECT_LT(fold, binomial) << "p=" << p << " bytes=" << bytes;
+      } else {
+        EXPECT_LT(binomial, fold) << "p=" << p << " bytes=" << bytes;
+      }
+      EXPECT_EQ(dispatched, std::min(fold, binomial))
+          << "p=" << p << " bytes=" << bytes;
+    }
+  }
+}
+
 // --- nonblocking path -------------------------------------------------------
 
 /// Per-rank traffic and final clock of one reduction run.
@@ -510,8 +492,8 @@ RunTraffic counts_reduce_traffic(int p, bool async) {
 // it charges its fan-in in arrival-stamp order, not in the order the host
 // queued it.
 TEST(AsyncSchedules, SameTrafficAndFinishAsBlocking) {
-  for (const std::string schedule : {"auto", "two_message", "butterfly",
-                                     "rabenseifner", "ring", "pipelined"}) {
+  for (const std::string schedule :
+       {"auto", "two_message", "butterfly", "rabenseifner", "ring"}) {
     EnvGuard g("RSMPI_SCHEDULE", schedule.c_str());
     for (const int p : {2, 3, 5, 8}) {
       const RunTraffic blocking = counts_reduce_traffic(p, /*async=*/false);
@@ -610,12 +592,11 @@ TEST(AsyncRing, AutoPicksRingForLargeStates) {
 
 // --- segment-buffer recycling -----------------------------------------------
 
-TEST(SegmentReuse, PipelinedRunRecyclesSegmentBuffers) {
-  EnvGuard sched("RSMPI_SCHEDULE", "pipelined");
-  EnvGuard seg("RSMPI_SEGMENT_BYTES", "1024");
+TEST(SegmentReuse, RingRunRecyclesSegmentBuffers) {
+  EnvGuard sched("RSMPI_SCHEDULE", "ring");
   const auto result = mprt::run(8, [&](Comm& comm) {
     for (int iter = 0; iter < 3; ++iter) {
-      // 16 KiB state → 16 segments
+      // 16 KiB state → 2 KiB ring chunks, 14 sent and received per rank
       ops::Counts c = filled_counts(2048, comm.rank(), 80);
       rs::detail::state_allreduce(comm, c);
     }

@@ -680,9 +680,8 @@ TEST(CopyFreeReduce, ReductionsCopyNoWholeState) {
     mprt::CostModel model;
   };
   const mprt::CostModel two_tier = mprt::CostModel::cluster_of_smp(4);
-  ASSERT_EQ(rs::detail::choose_allreduce_schedule(
-                two_tier, 8, 1024 * sizeof(long),
-                rs::detail::kDefaultSegmentBytes),
+  ASSERT_EQ(rs::detail::choose_allreduce_schedule(two_tier, 8,
+                                                  1024 * sizeof(long)),
             rs::detail::Schedule::kHierarchical);
   for (const std::size_t extent : {std::size_t{1024}, std::size_t{16384}}) {
     for (const Case& c :

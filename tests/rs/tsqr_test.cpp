@@ -2,11 +2,9 @@
 //
 //   * unit contract — argument validation, identity combines, equality,
 //     serialization (save/load, in-place load into a live state,
-//     combine_from_bytes), and the column-panel hooks including the
-//     streamed-session demux and its out-of-order rejection;
+//     combine_from_bytes), and combine as the absorb of the peer's rows;
 //   * bitwise schedule sweep — every blocking schedule name, the auto
-//     dispatch, the pipelined binomial tree at several segment sizes, and
-//     reduce_async on the progress engine all reproduce
+//     dispatch and reduce_async on the progress engine all reproduce
 //     verify::binomial_fold's bracketing exactly, at p in {2..16},
 //     fault-free and under benign fault plans;
 //   * numerical oracle — the reduced R agrees with a serial Householder
@@ -182,61 +180,21 @@ TEST(Tsqr, CombineFromBytesMatchesCombine) {
                ProtocolError);
 }
 
-TEST(Tsqr, PanelHooksRoundTripAndValidate) {
-  const ops::TSQR src = local_state(6, 30, 7);
-  EXPECT_EQ(src.part_extent(), 7u);
-  // Column j weighs (j+1) doubles — panels are inherently uneven.
-  EXPECT_EQ(src.part_bytes(0, 1), sizeof(double));
-  EXPECT_EQ(src.part_bytes(6, 7), 7 * sizeof(double));
-  EXPECT_THROW(static_cast<void>(src.part_bytes(3, 2)), ProtocolError);
-  EXPECT_THROW(static_cast<void>(src.part_bytes(0, 8)), ProtocolError);
-
-  ops::TSQR dst(7);
-  for (std::size_t lo = 0; lo < 7; lo += 3) {  // widths 3,3,1 — odd splits
-    const std::size_t hi = std::min<std::size_t>(7, lo + 3);
-    bytes::Writer w;
-    src.save_part(lo, hi, w);
-    EXPECT_EQ(w.size(), src.part_bytes(lo, hi));
-    dst.load_part(lo, hi, w.view());
-  }
-  EXPECT_EQ(save_op(dst), save_op(src));
-}
-
-TEST(Tsqr, PanelCombineRejectsOutOfOrderArrival) {
-  ops::TSQR into = local_state(7, 12, 4);
-  const ops::TSQR peer = local_state(8, 12, 4);
-  bytes::Writer tail;
-  peer.save_part(2, 4, tail);
-  // No session expects column 2: nothing started at column 0.
-  EXPECT_THROW(into.combine_part(2, 4, tail.view()), ProtocolError);
-  // Size validation.
-  bytes::Writer head;
-  peer.save_part(0, 2, head);
-  EXPECT_THROW(into.combine_part(0, 3, head.view()), ProtocolError);
-}
-
-TEST(Tsqr, InterleavedPanelSessionsMatchSequentialCombines) {
-  // Two peers stream their panels interleaved column-by-column — the
-  // pipelined tree's two-child pattern.  The per-peer sessions must demux
-  // and land bitwise on the sequential whole-state combines.
+TEST(Tsqr, CombineAbsorbsPeerRows) {
+  // A merge is the accum path run on the peer's R rows, row i entering
+  // with zeros left of its diagonal — bit for bit.
   constexpr std::size_t kCols = 6;
-  const ops::TSQR peer_b = local_state(9, 18, kCols);
-  const ops::TSQR peer_c = local_state(10, 18, kCols);
-
-  ops::TSQR sequential = local_state(11, 18, kCols);
-  ops::TSQR streamed = sequential;
-  sequential.combine(peer_b);
-  sequential.combine(peer_c);
-
-  for (std::size_t lo = 0; lo < kCols; lo += 2) {
-    const std::size_t hi = std::min(kCols, lo + 2);
-    for (const ops::TSQR* peer : {&peer_b, &peer_c}) {
-      bytes::Writer w;
-      peer->save_part(lo, hi, w);
-      streamed.combine_part(lo, hi, w.view());
-    }
+  const ops::TSQR peer = local_state(9, 18, kCols);
+  ops::TSQR merged = local_state(11, 18, kCols);
+  ops::TSQR absorbed = merged;
+  merged.combine(peer);
+  const auto r = peer.gen();
+  for (std::size_t i = 0; i < kCols; ++i) {
+    std::vector<double> row(kCols, 0.0);
+    for (std::size_t j = i; j < kCols; ++j) row[j] = r.entry(i, j);
+    absorbed.accum(row);
   }
-  EXPECT_EQ(save_op(streamed), save_op(sequential));
+  EXPECT_EQ(save_op(merged), save_op(absorbed));
 }
 
 // --- bitwise schedule sweep -------------------------------------------------
@@ -281,12 +239,11 @@ void expect_bitwise(int p, std::size_t rows_per_rank, std::size_t cols,
 TEST(TsqrSchedules, EveryScheduleBitIdenticalAcrossMachineSizes) {
   constexpr std::size_t kCols = 5;
   const Schedule schedules[] = {Schedule::kTwoMessage, Schedule::kButterfly,
-                                Schedule::kRabenseifner, Schedule::kRing,
-                                Schedule::kPipelined};
+                                Schedule::kRabenseifner, Schedule::kRing};
   for (const int p : {2, 3, 5, 8, 13, 16}) {
     for (const bool faulted : {false, true}) {
       const SimConfig sim = faulted ? benign_plan(p, 1) : SimConfig{};
-      // All five schedule names: the dispatch must route every one of
+      // All four schedule names: the dispatch must route every one of
       // them to the order-preserving path for a noncommutative operator.
       for (const Schedule sched : schedules) {
         expect_bitwise(p, 9, kCols, sim,
@@ -295,38 +252,13 @@ TEST(TsqrSchedules, EveryScheduleBitIdenticalAcrossMachineSizes) {
                            (faulted ? " faulted" : ""),
                        [sched](Comm& comm, ops::TSQR& op) {
                          rs::detail::state_allreduce_with_schedule(
-                             comm, op, sched, /*segment_bytes=*/24,
-                             /*commutative=*/false);
+                             comm, op, sched, /*commutative=*/false);
                        });
       }
       // The auto dispatch (env-driven planning path).
       expect_bitwise(p, 9, kCols, sim, faulted ? "auto faulted" : "auto",
                      [](Comm& comm, ops::TSQR& op) {
                        rs::detail::state_allreduce(comm, op);
-                     });
-    }
-  }
-}
-
-TEST(TsqrSchedules, PipelinedSegmentSizesBitIdentical) {
-  // The streamed column-panel merge must land on the same bits whatever
-  // the segment size carves the panels into — single columns, odd panel
-  // groups, or the whole state in one message.
-  constexpr std::size_t kCols = 6;
-  for (const int p : {2, 5, 8}) {
-    for (const std::size_t segment_bytes : {std::size_t{8}, std::size_t{24},
-                                            std::size_t{56}, std::size_t{4096}}) {
-      expect_bitwise(p, 11, kCols, SimConfig{},
-                     "pipelined seg=" + std::to_string(segment_bytes),
-                     [segment_bytes](Comm& comm, ops::TSQR& op) {
-                       rs::detail::state_allreduce_pipelined(comm, op,
-                                                             segment_bytes);
-                     });
-      expect_bitwise(p, 11, kCols, benign_plan(p, 2),
-                     "pipelined faulted seg=" + std::to_string(segment_bytes),
-                     [segment_bytes](Comm& comm, ops::TSQR& op) {
-                       rs::detail::state_allreduce_pipelined(comm, op,
-                                                             segment_bytes);
                      });
     }
   }

@@ -337,10 +337,7 @@ std::string check_case(const Case& c, const Op& prototype, MapFn map) {
 /// expected bits are exactly verify::binomial_fold's bracketing — the
 /// local worker pool's chunking never enters the comparison (production
 /// rs::reduce coverage for TSQR under the pool lives in
-/// tests/rs/reproducibility_test.cpp).  The forced reduce+bcast case also
-/// runs the pipelined binomial tree with tiny segments, putting the
-/// streamed column-panel merge under the random fault plans at machine
-/// sizes the exhaustive checker (p <= 4) cannot reach.
+/// tests/rs/reproducibility_test.cpp).
 std::string check_case_tsqr(const Case& c) {
   constexpr std::size_t kCols = 4;
   const auto p = static_cast<std::size_t>(c.p);
@@ -357,7 +354,6 @@ std::string check_case_tsqr(const Case& c) {
       rs::red_result(verify::binomial_fold(states));  // folds a copy
 
   std::vector<ops::TsqrResult> red(p);
-  std::vector<char> panel_mismatch(p, 0);
   try {
     mprt::run(
         c.p,
@@ -368,18 +364,11 @@ std::string check_case_tsqr(const Case& c) {
             case kReduceAuto:
               rs::detail::state_allreduce(comm, op);
               break;
-            case kReduceBcast: {
+            case kReduceBcast:
               rs::detail::state_allreduce_with_schedule(
                   comm, op, rs::detail::Schedule::kTwoMessage,
-                  rs::detail::kDefaultSegmentBytes, /*commutative=*/false);
-              ops::TSQR pipelined = states[r];
-              rs::detail::state_allreduce_pipelined(comm, pipelined,
-                                                    /*segment_bytes=*/8);
-              if (!(rs::red_result(pipelined) == rs::red_result(op))) {
-                panel_mismatch[r] = 1;
-              }
+                  /*commutative=*/false);
               break;
-            }
             case kReduceAsync: {
               auto state = std::make_shared<ops::TSQR>(states[r]);
               rs::detail::launch_state_allreduce(comm, state,
@@ -399,10 +388,6 @@ std::string check_case_tsqr(const Case& c) {
   }
 
   for (std::size_t r = 0; r < p; ++r) {
-    if (panel_mismatch[r] != 0) {
-      return "rank " + std::to_string(r) +
-             " pipelined-panel merge differs from reduce+bcast";
-    }
     if (!(red[r] == expected)) {
       return "rank " + std::to_string(r) +
              " TSQR R factor differs from the binomial-tree oracle";

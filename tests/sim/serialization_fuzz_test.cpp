@@ -201,7 +201,7 @@ TEST(SerializationFuzz, BloomFilter) {
 // -- Partitionable-state hooks (ISSUE 7, satellite 2) ------------------------
 //
 // save_part / load_part / combine_part carry segmented-schedule traffic
-// (ring, pipelined-tree, Rabenseifner), so they face the same wire: short
+// (ring, Rabenseifner), so they face the same wire: short
 // reads and corrupted bytes.  Contract: a segment buffer of the wrong
 // length must be rejected with a typed Error (load_part knows exactly how
 // many bytes [lo, hi) takes); a right-length but corrupted buffer may

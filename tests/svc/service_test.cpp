@@ -180,6 +180,11 @@ TEST(Service, DeadShardRetiresOnlyItsStreams) {
   // per rank and nothing else in setup sends.  Two streams at p=4 means
   // the victim's 7th send is its first epoch-1 routing send.
   sim.kill_after_sends = 2 * (kRanks - 1);
+  // Peer loss is scoped to the whole group, so the victim must not die
+  // before every survivor has finished both add_stream splits (which
+  // would then rightly throw PeerLostError): each survivor tells it so on
+  // a user tag, which adds no send to the victim's count.
+  constexpr int kReadyTag = 11;
 
   std::vector<std::vector<std::optional<long>>> cold_out(kRanks);
   std::vector<int> hot_degraded(kRanks, -1);
@@ -197,6 +202,11 @@ TEST(Service, DeadShardRetiresOnlyItsStreams) {
             auto& cold = service.add_stream("cold", cold_members,
                                             ops::Sum<long>{}, kSumValues,
                                             tumbling1());
+            if (comm.rank() == sim.kill_rank) {
+              for (const int r : survivors) (void)comm.recv<int>(r, kReadyTag);
+            } else {
+              comm.send(sim.kill_rank, kReadyTag, 1);
+            }
             for (int e = 1; e <= kEpochs; ++e) {
               hot.stage(load(comm.rank(), e, /*salt=*/1));
               cold.stage(load(comm.rank(), e, /*salt=*/2));

@@ -81,10 +81,9 @@ void explore_all(int p, bool with_faults) {
       // Noncommutative operators must always take an order-preserving
       // schedule — no arrival-order freedom at all.  This holds for the
       // token-concat witness (OrderedWord) and for real linear algebra
-      // (TSQR, ISSUE 9): every schedule name, the pipelined column-panel
-      // path, reduce_async on the progress engine, and the persistent
-      // replay present exactly one interleaving with zero decisions and
-      // zero pruned orders.
+      // (TSQR): every schedule name, reduce_async on the progress engine,
+      // and the persistent replay present exactly one interleaving with
+      // zero decisions and zero pruned orders.
       EXPECT_EQ(report.stats.interleavings, 1u) << scenario.name;
       EXPECT_EQ(report.stats.max_decisions, 0u) << scenario.name;
       EXPECT_EQ(report.stats.pruned_orders, 0u) << scenario.name;
